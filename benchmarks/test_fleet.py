@@ -18,11 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.eval.fleet import (
-    check_fleet,
     run_fleet_benchmark,
     run_fleet_cell,
-    write_results,
 )
+from repro.eval.regression import check_benchmark, write_benchmark
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_fleet.json"
@@ -37,7 +36,7 @@ GRID = dict(algorithm="d3", workers=(2, 4), loss_rates=(0.0, 0.25),
 @pytest.fixture(scope="module")
 def results():
     current = run_fleet_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_benchmark(current, OUTPUT_PATH)
     return current
 
 
@@ -47,7 +46,7 @@ def test_grid_is_complete(results):
 
 
 def test_fleet_contract_holds(results):
-    failures = check_fleet(results)
+    failures = check_benchmark(results)
     assert not failures, "; ".join(failures)
 
 

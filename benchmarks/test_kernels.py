@@ -19,11 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.backend import backend_name
-from repro.eval.kernels_bench import (
-    check_regression,
-    run_kernels_benchmark,
-    write_results,
-)
+from repro.eval.kernels_bench import run_kernels_benchmark
+from repro.eval.regression import check_baseline, write_benchmark
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_PATH = REPO_ROOT / "BENCH_kernels.json"
@@ -42,7 +39,7 @@ def results():
     baseline = json.loads(BASELINE_PATH.read_text()) \
         if BASELINE_PATH.exists() else None
     current = run_kernels_benchmark(**REDUCED)
-    write_results(current, BASELINE_PATH)
+    write_benchmark(current, BASELINE_PATH)
     return current, baseline
 
 
@@ -73,5 +70,5 @@ def test_no_regression_vs_committed_baseline(results):
         pytest.skip("no committed BENCH_kernels.json baseline")
     if baseline.get("backend") != current["backend"]:
         pytest.skip("committed baseline is from a different backend")
-    failures = check_regression(current, baseline, tolerance=0.30)
+    failures = check_baseline(current, baseline)
     assert not failures, "; ".join(failures)

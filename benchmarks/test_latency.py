@@ -18,11 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.eval.latency_bench import (
-    check_latency,
     run_latency_benchmark,
     run_latency_cell,
-    write_results,
 )
+from repro.eval.regression import check_benchmark, write_benchmark
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_latency.json"
@@ -37,7 +36,7 @@ GRID = dict(algorithms=("d3", "mgdd"), loss_rates=(0.0, 0.25),
 @pytest.fixture(scope="module")
 def results():
     current = run_latency_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_benchmark(current, OUTPUT_PATH)
     return current
 
 
@@ -47,7 +46,7 @@ def test_grid_is_complete(results):
 
 
 def test_latency_contract_holds(results):
-    failures = check_latency(results)
+    failures = check_benchmark(results)
     assert not failures, "; ".join(failures)
 
 

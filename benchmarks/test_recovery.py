@@ -17,11 +17,10 @@ from pathlib import Path
 import pytest
 
 from repro.eval.recovery import (
-    check_recovery,
     run_recovery_benchmark,
     run_recovery_cell,
-    write_results,
 )
+from repro.eval.regression import check_benchmark, write_benchmark
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_recovery.json"
@@ -36,7 +35,7 @@ GRID = dict(algorithms=("d3", "mgdd"), crash_rates=(0.01, 0.05),
 @pytest.fixture(scope="module")
 def results():
     current = run_recovery_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_benchmark(current, OUTPUT_PATH)
     return current
 
 
@@ -53,7 +52,7 @@ def test_grid_is_complete(results):
 
 
 def test_recovery_contract_holds(results):
-    failures = check_recovery(results)
+    failures = check_benchmark(results)
     assert not failures, "; ".join(failures)
 
 

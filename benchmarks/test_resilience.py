@@ -18,11 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.eval.resilience import (
-    check_degradation,
     run_resilience_benchmark,
     run_resilience_cell,
-    write_results,
 )
+from repro.eval.regression import check_benchmark, write_benchmark
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_resilience.json"
@@ -36,7 +35,7 @@ GRID = dict(algorithms=("d3", "mgdd"), loss_rates=(0.0, 0.1),
 @pytest.fixture(scope="module")
 def results():
     current = run_resilience_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_benchmark(current, OUTPUT_PATH)
     return current
 
 
@@ -53,7 +52,7 @@ def test_grid_is_complete(results):
 
 
 def test_degrades_gracefully(results):
-    failures = check_degradation(results)
+    failures = check_benchmark(results)
     assert not failures, "; ".join(failures)
 
 

@@ -17,11 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.throughput import (
-    check_regression,
-    run_throughput_benchmark,
-    write_results,
-)
+from repro.eval.throughput import run_throughput_benchmark
+from repro.eval.regression import check_baseline, write_benchmark
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_PATH = REPO_ROOT / "BENCH_throughput.json"
@@ -37,7 +34,7 @@ def results():
     baseline = json.loads(BASELINE_PATH.read_text()) \
         if BASELINE_PATH.exists() else None
     current = run_throughput_benchmark(**REDUCED)
-    write_results(current, BASELINE_PATH)
+    write_benchmark(current, BASELINE_PATH)
     return current, baseline
 
 
@@ -58,5 +55,5 @@ def test_no_regression_vs_committed_baseline(results):
     current, baseline = results
     if baseline is None:
         pytest.skip("no committed BENCH_throughput.json baseline")
-    failures = check_regression(current, baseline, tolerance=0.30)
+    failures = check_baseline(current, baseline)
     assert not failures, "; ".join(failures)

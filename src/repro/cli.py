@@ -455,52 +455,50 @@ def _export_metrics_file(snapshot, path: str) -> None:
     print(f"# wrote {path} ({fmt})", file=sys.stderr)
 
 
-def _doc_metrics_snapshot(doc, prefix: str):
-    """A bench document's numeric leaves as a metrics snapshot."""
-    from repro.obs.metrics import MetricsRegistry
+def _finish_bench(args: argparse.Namespace,
+                  results: "dict[str, object]") -> int:
+    """Print, write and gate a bench document; return the exit code.
 
-    registry = MetricsRegistry()
-    registry.absorb_mapping(doc, prefix)
-    return registry.snapshot()
+    The table, the ``bench.<stem>.*`` metrics prefix and the absolute
+    gate all come from the kind's record in
+    :mod:`repro.eval.regression`.
+    """
+    from repro.eval import regression
+
+    print(regression.format_benchmark(results))
+    path = regression.write_benchmark(results, args.json_out)
+    print(f"# wrote {path}", file=sys.stderr)
+    if args.metrics_out:
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        stem = regression.bench_kind(results["benchmark"]).stem
+        registry.absorb_mapping(results, f"bench.{stem}")
+        _export_metrics_file(registry.snapshot(), args.metrics_out)
+    failures = regression.check_benchmark(results)
+    for failure in failures:
+        print(f"# GATE FAILURE: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_bench_throughput(args) -> int:
     from repro.eval import throughput
 
-    results = throughput.run_throughput_benchmark(
+    return _finish_bench(args, throughput.run_throughput_benchmark(
         window_size=args.window, sample_size=args.sample,
         n_readings=args.readings, batch_size=args.batch,
         n_leaves=args.leaves, n_ticks=args.ticks, seed=args.seed,
-        obs=args.obs)
-    print(throughput.format_table(results))
-    path = throughput.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.throughput"),
-            args.metrics_out)
-    return 0
+        obs=args.obs))
 
 
 def _cmd_bench_resilience(args) -> int:
     from repro.eval import resilience
 
-    results = resilience.run_resilience_benchmark(
+    return _finish_bench(args, resilience.run_resilience_benchmark(
         loss_rates=tuple(args.loss_rates),
         crash_fractions=tuple(args.crash_fractions),
         n_leaves=args.leaves, window_size=args.window,
-        measure_ticks=args.measure, seed=args.seed)
-    print(resilience.format_table(results))
-    path = resilience.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.resilience"),
-            args.metrics_out)
-    failures = resilience.check_degradation(results)
-    for failure in failures:
-        print(f"# DEGRADATION FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+        measure_ticks=args.measure, seed=args.seed))
 
 
 def _cmd_bench_kernels(args) -> int:
@@ -515,80 +513,40 @@ def _cmd_bench_kernels(args) -> int:
         results = kernels_bench.run_kernels_benchmark(
             n_queries=args.queries, n_centers=args.centers,
             repeats=args.repeats, seed=args.seed)
-    print(kernels_bench.format_table(results))
-    path = kernels_bench.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.kernels"),
-            args.metrics_out)
-    return 0
+    return _finish_bench(args, results)
 
 
 def _cmd_bench_recovery(args) -> int:
     from repro.eval import recovery
 
-    results = recovery.run_recovery_benchmark(
+    return _finish_bench(args, recovery.run_recovery_benchmark(
         crash_rates=tuple(args.crash_rates),
         checkpoint_cadences=tuple(args.checkpoint_cadences),
         n_streams=args.streams, n_ticks=args.ticks,
-        window_size=args.window, sample_size=args.sample, seed=args.seed)
-    print(recovery.format_table(results))
-    path = recovery.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.recovery"),
-            args.metrics_out)
-    failures = recovery.check_recovery(results)
-    for failure in failures:
-        print(f"# RECOVERY FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+        window_size=args.window, sample_size=args.sample, seed=args.seed))
 
 
 def _cmd_bench_latency(args) -> int:
     from repro.eval import latency_bench
 
-    results = latency_bench.run_latency_benchmark(
+    return _finish_bench(args, latency_bench.run_latency_benchmark(
         loss_rates=tuple(args.loss_rates),
         staleness_horizons=tuple(args.staleness_horizons),
         n_leaves=args.leaves, branching=args.branching,
         window_size=args.window, measure_ticks=args.measure,
-        seed=args.seed)
-    print(latency_bench.format_table(results))
-    path = latency_bench.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.latency"),
-            args.metrics_out)
-    failures = latency_bench.check_latency(results)
-    for failure in failures:
-        print(f"# LATENCY FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+        seed=args.seed))
 
 
 def _cmd_bench_fleet(args) -> int:
     from repro.eval import fleet
 
-    results = fleet.run_fleet_benchmark(
+    return _finish_bench(args, fleet.run_fleet_benchmark(
         workers=tuple(args.workers), loss_rates=tuple(args.loss_rates),
         n_streams=args.streams, n_ticks=args.ticks,
         window_size=args.window, sample_size=args.sample,
         batch_size=args.batch, checkpoint_every=args.checkpoint_every,
         seed=args.seed, use_processes=args.processes,
-        run_dir=args.run_dir)
-    print(fleet.format_table(results))
-    path = fleet.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.fleet"),
-            args.metrics_out)
-    failures = fleet.check_fleet(results)
-    for failure in failures:
-        print(f"# FLEET FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+        run_dir=args.run_dir))
 
 
 def _cmd_merge_trace(args) -> int:

@@ -26,15 +26,18 @@ from repro.eval.metrics import PrecisionRecall, precision_recall
 from repro.eval.profiling import format_profile_table, run_profile_benchmark
 from repro.eval.provenance import git_sha, run_metadata
 from repro.eval.regression import (
-    RegressionTolerances,
     append_history,
+    check_baseline,
+    check_benchmark,
     check_history,
+    format_benchmark,
+    history_path,
     load_history,
     summarize_benchmark,
+    write_benchmark,
 )
 from repro.eval.reporting import render_table
 from repro.eval.resilience import (
-    check_degradation,
     run_resilience_benchmark,
     run_resilience_cell,
 )
@@ -72,14 +75,17 @@ __all__ = [
     "selectivity_experiment",
     "run_resilience_cell",
     "run_resilience_benchmark",
-    "check_degradation",
     "run_profile_benchmark",
     "format_profile_table",
     "run_metadata",
     "git_sha",
-    "RegressionTolerances",
     "summarize_benchmark",
+    "check_benchmark",
+    "check_baseline",
+    "check_history",
+    "format_benchmark",
+    "write_benchmark",
+    "history_path",
     "append_history",
     "load_history",
-    "check_history",
 ]

@@ -42,7 +42,7 @@ import tempfile
 import time
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -68,16 +68,10 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "run_fleet_cell",
     "run_fleet_benchmark",
-    "write_results",
-    "check_fleet",
-    "format_table",
     "fleet_workload",
     "stream_seeds",
     "partition_streams",
 ]
-
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_fleet.json"
 
 #: Node id of the coordinator (also its worker id / spool name).
 COORDINATOR_NODE = 0
@@ -575,89 +569,3 @@ def run_fleet_benchmark(*, algorithm: str = "d3",
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
-def check_fleet(results: "Mapping[str, object]") -> "list[str]":
-    """Assert the fleet contract; return human-readable failures.
-
-    Per cell: (1) zero detection divergence vs the single-process run;
-    (2) the merged trace validates and balances the summed counters
-    exactly; (3) every level-1 lineage record is complete and at least
-    one spans >= 2 worker ids; (4) the cell actually flagged something.
-    Empty list = pass.
-    """
-    failures: "list[str]" = []
-    cells = results["cells"]
-    assert isinstance(cells, list)
-    for cell in cells:
-        label = (f"workers={cell['n_workers']} "
-                 f"loss={cell['loss_rate']}")
-        if cell["divergence"] != 0:
-            failures.append(
-                f"{label}: {cell['divergence']} detection(s) diverged "
-                "from the single-process run (must be exactly 0)")
-        if cell["n_flags"] == 0:
-            failures.append(f"{label}: the cell flagged nothing")
-        if cell["n_sent"] != cell["n_delivered"] + cell["n_dropped"]:  # type: ignore[operator]
-            failures.append(
-                f"{label}: sent {cell['n_sent']} != delivered "
-                f"{cell['n_delivered']} + dropped {cell['n_dropped']}")
-        if cell.get("n_crashes_scheduled", 0) != cell.get(
-                "n_recoveries", 0):
-            failures.append(
-                f"{label}: {cell['n_recoveries']} recoveries for "
-                f"{cell['n_crashes_scheduled']} scheduled crash(es)")
-        if not cell.get("trace"):
-            continue
-        conservation = cell.get("conservation_failures")
-        if conservation:
-            failures.append(
-                f"{label}: global conservation violated: {conservation}")
-        if cell.get("schema_problems", 0) != 0:
-            failures.append(
-                f"{label}: merged trace has {cell['schema_problems']} "
-                "schema problem(s)")
-        if cell.get("n_level1_records", 0) != cell.get(
-                "n_level1_complete", 0):
-            failures.append(
-                f"{label}: {cell['n_level1_records']} level-1 lineage "
-                f"record(s) but only {cell['n_level1_complete']} complete")
-        if cell.get("n_level1_records", 0) > 0 \
-                and cell.get("n_cross_worker", 0) == 0:
-            failures.append(
-                f"{label}: no lineage record spans >= 2 worker ids")
-        if cell.get("torn_spools", 0) != 0:
-            failures.append(
-                f"{label}: {cell['torn_spools']} spool(s) had torn tails")
-    return failures
-
-
-def format_table(results: "Mapping[str, object]") -> str:
-    """Render the fleet grid as an aligned text table."""
-    rows = [("cell", "flags", "diverged", "sent", "dlvr", "drop",
-             "xworker", "rd/s")]
-    cells = results["cells"]
-    assert isinstance(cells, list)
-    for cell in cells:
-        rows.append((
-            f"workers={cell['n_workers']} loss={cell['loss_rate']}",
-            f"{cell['n_flags']}",
-            f"{cell['divergence']}",
-            f"{cell['n_sent']}",
-            f"{cell['n_delivered']}",
-            f"{cell['n_dropped']}",
-            f"{cell.get('n_cross_worker', '-')}",
-            f"{cell['readings_per_sec']:,.0f}",
-        ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(c.rjust(widths[i]) if i else c.ljust(widths[i])
-                       for i, c in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)

@@ -24,16 +24,13 @@ Results are written to ``BENCH_kernels.json`` and tracked per backend in
 
 from __future__ import annotations
 
-import json
 import math
 import platform
 import time
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro._artifacts import atomic_write_text
 from repro.core import backend as _backend
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.kernels import EPANECHNIKOV, GAUSSIAN, Kernel
@@ -43,13 +40,7 @@ __all__ = [
     "reference_pdf",
     "measure_case",
     "run_kernels_benchmark",
-    "write_results",
-    "check_regression",
-    "format_table",
 ]
-
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_kernels.json"
 
 #: The pre-backend per-chunk cell cap (frozen with the references).
 _REFERENCE_CHUNK_CELLS = 4_000_000
@@ -198,52 +189,3 @@ def run_kernels_benchmark(*, n_queries: int = 4_096, n_centers: int = 2_048,
         "min_speedup": min(c["speedup"] for c in cases if c["gated"]),
         "max_abs_err": max(c["max_abs_err"] for c in cases),
     }
-
-
-def write_results(results: dict, path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
-def check_regression(current: dict, baseline: dict,
-                     tolerance: float = 0.30) -> "list[str]":
-    """Compare the gated speedup against a baseline document.
-
-    Only applies when both documents were produced by the same backend
-    -- a numpy run is incomparable to a committed numba baseline.  Like
-    the throughput gate, only the dimensionless ratio is compared.
-    """
-    if current.get("backend") != baseline.get("backend"):
-        return []
-    base = baseline.get("min_speedup")
-    curr = current.get("min_speedup")
-    if not isinstance(base, (int, float)) or not isinstance(curr, (int, float)):
-        return []
-    floor = base * (1.0 - tolerance)
-    if curr < floor:
-        return [f"kernels: min_speedup {curr:.2f}x regressed more than "
-                f"{tolerance:.0%} below baseline {base:.2f}x"]
-    return []
-
-
-def format_table(results: dict) -> str:
-    """Render the per-case measurements as an aligned text table."""
-    rows = [("case", "reference ms", "backend ms", "speedup", "Mcells/s",
-             "max |err|")]
-    for case in results["cases"]:
-        label = case["case"] + ("" if case["gated"] else " *")
-        rows.append((label,
-                     f"{case['reference_s'] * 1e3:,.1f}",
-                     f"{case['backend_s'] * 1e3:,.1f}",
-                     f"{case['speedup']:.1f}x",
-                     f"{case['backend_mcells_per_s']:,.0f}",
-                     f"{case['max_abs_err']:.1e}"))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.rjust(widths[i]) if i else cell.ljust(widths[i])
-                       for i, cell in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    lines.append(f"backend: {results['backend']}   "
-                 f"gated min speedup: {results['min_speedup']:.1f}x   "
-                 "(* = not gated)")
-    return "\n".join(lines)

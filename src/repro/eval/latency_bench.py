@@ -17,22 +17,19 @@ The latency bookkeeping in
 :class:`~repro.network.node.DetectionLog` is unconditional, so cells
 run *without* tracing -- the benchmark measures the detector network,
 not the observability layer.  Results go to ``BENCH_latency.json``;
-:func:`check_latency` asserts the invariants (non-negative latencies,
-zero latency under zero loss, a non-empty sweep) and
-``tools/bench_history.py`` gates the P99 against
-``benchmarks/history/latency.jsonl``.  Everything is seeded, so a cell
+its record in :mod:`repro.eval.regression` asserts the invariants
+(non-negative latencies, zero latency under zero loss, a non-empty
+sweep) and gates the P99 against ``benchmarks/history/latency.jsonl``.  Everything is seeded, so a cell
 replays bit for bit.
 """
 
 from __future__ import annotations
 
 import platform
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro.eval.harness import ExperimentConfig, run_accuracy_run
 from repro.eval.provenance import run_metadata
@@ -40,13 +37,7 @@ from repro.eval.provenance import run_metadata
 __all__ = [
     "run_latency_cell",
     "run_latency_benchmark",
-    "write_results",
-    "check_latency",
-    "format_table",
 ]
-
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_latency.json"
 
 #: Dataset per algorithm, mirroring the conservation-suite operating
 #: points (MGDD needs the plateau workload to flag at all at this scale).
@@ -134,75 +125,3 @@ def run_latency_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    import json
-
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
-def check_latency(results: "dict[str, object]") -> "list[str]":
-    """Assert the latency contract; return human-readable failures.
-
-    Checks: (1) every recorded latency statistic is **non-negative** --
-    a flag cannot precede its reading; (2) a lossless cell has zero
-    worst-case latency (nothing delays a report when nothing is lost);
-    (3) the sweep flagged *something* overall -- an all-empty grid
-    measures nothing.  Empty list = pass.
-    """
-    failures: "list[str]" = []
-    cells = results["cells"]
-    assert isinstance(cells, list)
-    total_flags = 0
-    for cell in cells:
-        label = (f"{cell['algorithm']} loss_rate={cell['loss_rate']} "
-                 f"staleness={cell['staleness_horizon']}")
-        total_flags += int(cell["n_flags"])  # type: ignore[arg-type]
-        for key in ("latency_p50", "latency_p99", "latency_max"):
-            value = cell[key]
-            if value is not None and value < 0:  # type: ignore[operator]
-                failures.append(
-                    f"{label}: {key} is {value}, flags cannot precede "
-                    f"their readings")
-        worst = cell["latency_max"]
-        if float(cell["loss_rate"]) == 0.0 \
-                and worst is not None and worst != 0:  # type: ignore[arg-type]
-            failures.append(
-                f"{label}: lossless cell reports latency_max={worst}, "
-                f"expected 0 (nothing delays a report without loss)")
-    if total_flags == 0:
-        failures.append(
-            "no cell flagged any detection; the sweep measured nothing")
-    return failures
-
-
-def format_table(results: "dict[str, object]") -> str:
-    """Render the latency grid as an aligned text table."""
-    rows = [("cell", "flags", "p50", "p99", "max", "words/flag",
-             "recall L1")]
-    cells = results["cells"]
-    assert isinstance(cells, list)
-
-    def _num(value: object, spec: str = "") -> str:
-        return "-" if value is None else format(value, spec)
-
-    for cell in cells:
-        rows.append((
-            f"{cell['algorithm']} loss_rate={cell['loss_rate']} "
-            f"staleness={cell['staleness_horizon']}",
-            f"{cell['n_flags']}",
-            _num(cell["latency_p50"]),
-            _num(cell["latency_p99"]),
-            _num(cell["latency_max"]),
-            _num(cell["words_per_detection"], ".1f"),
-            _num(cell["recall_level1"], ".3f"),
-        ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell_.rjust(widths[i]) if i else cell_.ljust(widths[i])
-                       for i, cell_ in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)

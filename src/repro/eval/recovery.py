@@ -16,9 +16,9 @@ uninterrupted run.  This module measures that promise on a grid of
   replayed ticks (bounded by the checkpoint cadence), and the largest
   checkpoint artifact in bytes.
 
-Results are written to ``BENCH_recovery.json``.  :func:`check_recovery`
-asserts the zero-divergence property, that crashes actually fired, and
-that replay stayed bounded by the cadence.  Everything is seeded, so a
+Results are written to ``BENCH_recovery.json``.  Its record in
+:mod:`repro.eval.regression` asserts the zero-divergence property, that
+crashes actually fired, and that replay stayed bounded by the cadence.  Everything is seeded, so a
 cell replays bit for bit.
 """
 
@@ -32,7 +32,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro._rng import resolve_rng
 from repro.core.mdef import MDEFSpec
@@ -45,13 +44,7 @@ from repro.network.faults import EngineCrash, FaultPlan
 __all__ = [
     "run_recovery_cell",
     "run_recovery_benchmark",
-    "write_results",
-    "check_recovery",
-    "format_table",
 ]
-
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_recovery.json"
 
 #: Outlier definition per algorithm, scaled to the unit-variance
 #: workload below (mirrors the accuracy suites' operating points).
@@ -189,64 +182,3 @@ def run_recovery_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    import json
-
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
-def check_recovery(results: "dict[str, object]") -> "list[str]":
-    """Assert the recovery contract; return human-readable failures.
-
-    Checks, per cell: (1) **zero detection divergence** -- crashes must
-    never change what gets flagged; (2) scheduled crashes actually
-    fired; (3) replay stayed bounded by the checkpoint cadence (the
-    whole point of cadenced checkpoints).  Empty list = pass.
-    """
-    failures: "list[str]" = []
-    cells = results["cells"]
-    assert isinstance(cells, list)
-    for cell in cells:
-        label = (f"{cell['algorithm']} crash_rate={cell['crash_rate']} "
-                 f"cadence={cell['checkpoint_every']}")
-        if cell["divergence"] != 0:
-            failures.append(
-                f"{label}: {cell['divergence']} detection(s) diverged from "
-                f"the uninterrupted run (must be exactly 0)")
-        if cell["n_recoveries"] != cell["n_crashes_scheduled"]:
-            failures.append(
-                f"{label}: {cell['n_recoveries']} recoveries for "
-                f"{cell['n_crashes_scheduled']} scheduled crash(es)")
-        if cell["max_replayed_ticks"] >= cell["checkpoint_every"]:  # type: ignore[operator]
-            failures.append(
-                f"{label}: replayed {cell['max_replayed_ticks']} ticks in "
-                f"one recovery, >= the cadence {cell['checkpoint_every']}")
-    return failures
-
-
-def format_table(results: "dict[str, object]") -> str:
-    """Render the recovery grid as an aligned text table."""
-    rows = [("cell", "crashes", "diverged", "p99 s", "replayed",
-             "chk bytes")]
-    cells = results["cells"]
-    assert isinstance(cells, list)
-    for cell in cells:
-        rows.append((
-            f"{cell['algorithm']} crash_rate={cell['crash_rate']} "
-            f"cadence={cell['checkpoint_every']}",
-            f"{cell['n_recoveries']}",
-            f"{cell['divergence']}",
-            f"{cell['recovery_p99_s']:.4f}",
-            f"{cell['replayed_ticks']}",
-            f"{cell['max_checkpoint_bytes']:,}",
-        ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell_.rjust(widths[i]) if i else cell_.ljust(widths[i])
-                       for i, cell_ in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)

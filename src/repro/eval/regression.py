@@ -1,41 +1,26 @@
-"""Bench-regression tracking over ``benchmarks/history/``.
+"""Bench-kind records: every ``BENCH_*.json`` policy in one table.
 
-The one-shot CI gates (``check_regression`` against a committed
-baseline, absolute recall floors) catch a single bad commit but say
-nothing about slow decay across PRs.  This module keeps an append-only
-JSONL *history* per benchmark -- one compact summary line per
-``BENCH_*.json``, carrying the PR-4 provenance stamp (git sha, seed,
-wall clock) -- and gates on *relative* tolerances against the median of
-the prior entries:
+Each bench kind (``repro bench-<kind>``) is one :class:`BenchKind`
+record in :data:`BENCH_KINDS`.  The record is the only place that says,
+for its kind:
 
-* **throughput**: the latest single-node and network speedups may not
-  drop more than ``throughput_drop`` (default 20%) below the median of
-  the preceding entries.
-* **resilience**: the latest fault-free recall floor may not fall below
-  ``recall_cliff_drop`` of the prior median, and the worst-case faulted
-  recall may not collapse (the "recall cliff" the PR-3 degradation
-  machinery exists to prevent).
-* **kernels**: the latest Eq. 4-6 microbenchmark speedup over the frozen
-  pre-backend reference may not drop more than ``throughput_drop`` below
-  the prior median.
-* **recovery**: the latest crash-recovery sweep must report **zero**
-  detection divergence (correctness is absolute, not relative), and its
-  recovery-time P99 may not rise more than ``recovery_time_rise`` above
-  the prior median.
-* **latency**: the latest event-time -> flag-time sweep's worst P99 (in
-  ticks, so deterministic -- no CI timing noise) may not rise more than
-  ``latency_rise`` above the prior median, and every latency must be
-  non-negative.
-* **fleet**: the latest multiprocess pilot must report **zero**
-  detection divergence vs the single-process run and zero conservation
-  failures (both absolute), at least one cross-worker lineage record,
-  and its aggregate readings/sec may not drop more than
-  ``fleet_throughput_drop`` below the prior median.
+* which history file it appends to (``benchmarks/history/<stem>.jsonl``);
+* which summary figures a history line keeps, and how each is reduced
+  over the document's cells;
+* which columns the CLI prints;
+* the **absolute** gate on a fresh document (the bench CLI exits 1 on
+  any failure);
+* the **relative** history gates -- a figure may not drop (or rise)
+  more than a constant tolerance against the median of the prior
+  entries, optionally counting only priors of the same compute backend
+  (``repro.core.backend``) -- and the absolute conditions every latest
+  history entry must meet (zero divergence, flags > 0, ...).
 
-Throughput and kernels entries record which compute backend
-(``repro.core.backend``) produced them; the gates only compare entries
-from the *same* backend, so a numpy run is never judged against numba
-history (or vice versa).
+The shared functions below (:func:`summarize_benchmark`,
+:func:`check_benchmark`, :func:`check_history`, :func:`check_baseline`,
+:func:`format_benchmark`, :func:`write_benchmark`,
+:func:`history_path`) read the record and never branch on the kind
+themselves; adding a bench is adding a record.
 
 A history with fewer than two entries always passes (nothing to
 regress against), so fresh clones and first runs are never blocked.
@@ -47,68 +32,90 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import string
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from repro._artifacts import atomic_append_text
+from repro._artifacts import atomic_append_text, atomic_write_text
 from repro._exceptions import ParameterError
+from repro.eval.reporting import render_table
 
-__all__ = ["RegressionTolerances", "summarize_benchmark", "append_history",
-           "load_history", "check_history", "history_path"]
+__all__ = ["BenchKind", "Field", "Gate", "Require", "BENCH_KINDS",
+           "bench_kind", "summarize_benchmark", "check_benchmark",
+           "check_baseline", "check_history", "format_benchmark",
+           "write_benchmark", "history_path", "load_history",
+           "append_history"]
 
 #: Default location of the append-only per-benchmark histories.
 DEFAULT_HISTORY_DIR = Path("benchmarks") / "history"
 
+#: Tolerance of :func:`check_baseline`, which replaces every relative
+#: gate's history tolerance: a reduced-workload CI run compared against
+#: the committed full-workload artifact needs more slack than a
+#: same-workload history entry.
+BASELINE_TOLERANCE = 0.30
 
-@dataclass(frozen=True)
-class RegressionTolerances:
-    """Relative regression tolerances for :func:`check_history`."""
+Doc = Mapping[str, Any]
 
-    #: Maximum tolerated relative drop of a throughput speedup vs the
-    #: median of prior entries (0.20 = latest may be 20% lower).
-    throughput_drop: float = 0.20
-    #: Maximum tolerated relative drop of the fault-free recall floor.
-    recall_cliff_drop: float = 0.15
-    #: Absolute floor for the worst faulted-cell recall: whatever
-    #: history says, dropping to (near) zero recall under faults is the
-    #: cliff the resilience layer exists to prevent.
-    min_faulted_recall: float = 0.10
-    #: Maximum tolerated relative *rise* of the recovery-time P99 vs the
-    #: median of prior entries (1.0 = latest may take twice as long;
-    #: deliberately loose, CI timing is noisy).
-    recovery_time_rise: float = 1.0
-    #: Maximum tolerated relative rise of the detection-latency P99 (in
-    #: ticks) vs the median of prior entries.  Tick latencies are
-    #: deterministic, but grid tweaks legitimately move them, so the
-    #: default matches ``recovery_time_rise``'s looseness.
-    latency_rise: float = 1.0
-    #: Maximum tolerated relative drop of the fleet pilot's worst
-    #: readings/sec vs the median of prior entries.  Process spawn
-    #: overhead dominates the small CI pilot, so this is deliberately
-    #: much looser than ``throughput_drop``; the fleet gate's teeth are
-    #: its absolute divergence/conservation checks.
-    fleet_throughput_drop: float = 0.75
 
-    def __post_init__(self) -> None:
-        for name, value in (("throughput_drop", self.throughput_drop),
-                            ("recall_cliff_drop", self.recall_cliff_drop),
-                            ("fleet_throughput_drop",
-                             self.fleet_throughput_drop)):
-            if not 0.0 < value < 1.0:
-                raise ParameterError(
-                    f"{name} must lie in (0, 1), got {value!r}")
-        if not 0.0 <= self.min_faulted_recall <= 1.0:
-            raise ParameterError(
-                f"min_faulted_recall must lie in [0, 1], "
-                f"got {self.min_faulted_recall!r}")
-        if self.recovery_time_rise <= 0.0:
-            raise ParameterError(
-                f"recovery_time_rise must be > 0, "
-                f"got {self.recovery_time_rise!r}")
-        if self.latency_rise <= 0.0:
-            raise ParameterError(
-                f"latency_rise must be > 0, got {self.latency_rise!r}")
+class Field(NamedTuple):
+    """One summary figure of a history line.
+
+    ``reduce`` folds ``value(row)`` over the document's rows (a
+    ``None`` value skips the row); with ``reduce=None``, ``value`` reads
+    the whole document instead.  A ``required`` figure that reduces to
+    ``None`` rejects the document.
+    """
+
+    name: str
+    value: Callable[[Doc], Any]
+    reduce: "Callable[[list[Any]], Any] | None" = None
+    required: bool = False
+
+
+class Gate(NamedTuple):
+    """A relative history gate on one summary figure.
+
+    ``direction`` is ``"drop"`` (the latest figure may not fall more
+    than ``tolerance`` below the prior median) or ``"rise"``.
+    """
+
+    field: str
+    direction: str
+    tolerance: float
+    same_backend: bool = False
+
+
+class Require(NamedTuple):
+    """An absolute condition on the latest history entry's ``field``."""
+
+    field: str
+    ok: Callable[[Any], bool]
+    why: str
+
+
+class BenchKind(NamedTuple):
+    """Everything the bench tooling knows about one bench kind."""
+
+    #: The ``"benchmark"`` stamp of the kind's documents.
+    name: str
+    #: ``benchmarks/history/<stem>.jsonl`` and ``bench.<stem>.*`` metrics.
+    stem: str
+    #: The document's rows (cells); raises on a malformed document.
+    rows: Callable[[Doc], "list[Mapping[str, Any]]"]
+    summary: "tuple[Field, ...]"
+    #: ``(header, template)``: each template is formatted with a row's
+    #: keys; a missing or ``None`` value prints as ``-``.
+    columns: "tuple[tuple[str, str], ...]"
+    #: Relative history gates on the latest entry.
+    gates: "tuple[Gate, ...]"
+    #: Absolute history conditions on the latest entry.
+    requires: "tuple[Require, ...]" = ()
+    #: Absolute gate on a fresh document; ``None`` = no such gate.
+    check: "Callable[[Doc], list[str]] | None" = None
+    #: Line printed under the table, formatted with the document's keys.
+    footer: str = ""
 
 
 def _median(values: "Sequence[float]") -> float:
@@ -118,133 +125,481 @@ def _median(values: "Sequence[float]") -> float:
     return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def summarize_benchmark(doc: "Mapping[str, object]") -> "dict[str, object]":
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float))
+
+
+# ---------------------------------------------------------------------------
+# rows, summary values and reducers
+
+
+def _listed(doc: Doc, key: str) -> "list[Mapping[str, Any]]":
+    value = doc.get(key)
+    if not isinstance(value, list) or not value:
+        raise ParameterError(f"{doc.get('benchmark')} document lacks {key}")
+    return value
+
+
+def _cells(doc: Doc) -> "list[Mapping[str, Any]]":
+    return _listed(doc, "cells")
+
+
+def _throughput_rows(doc: Doc) -> "list[Mapping[str, Any]]":
+    single = doc.get("single_node")
+    network = doc.get("network")
+    if not (isinstance(single, Mapping) and isinstance(network, Mapping)):
+        raise ParameterError(
+            "throughput document lacks single_node/network sections")
+    return [dict(single, label="single node"),
+            dict(network, label="d3 network")]
+
+
+def _kernel_rows(doc: Doc) -> "list[Mapping[str, Any]]":
+    return [dict(case, label=case["case"] + ("" if case["gated"] else " *"),
+                 reference_ms=case["reference_s"] * 1e3,
+                 backend_ms=case["backend_s"] * 1e3)
+            for case in _listed(doc, "cases")]
+
+
+def _doc_float(*path: str) -> Callable[[Doc], float]:
+    def value(doc: Doc) -> float:
+        node: Any = doc
+        for key in path:
+            node = node[key]
+        return float(node)
+    return value
+
+
+def _int(key: str) -> Callable[[Doc], int]:
+    return lambda row: int(row[key])
+
+
+def _float(key: str) -> Callable[[Doc], float]:
+    return lambda row: float(row[key])
+
+
+def _optional(key: str, cast: Callable[[Any], Any]) -> Callable[[Doc], Any]:
+    def value(row: Doc) -> Any:
+        found = row.get(key)
+        return cast(found) if _is_number(found) else None
+    return value
+
+
+def _is_faultfree(row: Doc) -> bool:
+    return float(row["loss_rate"]) == 0.0 \
+        and float(row["crash_fraction"]) == 0.0
+
+
+def _faultfree(row: Doc) -> "float | None":
+    return float(row["recall"]) if _is_faultfree(row) else None
+
+
+def _faulted(row: Doc) -> "float | None":
+    return None if _is_faultfree(row) else float(row["recall"])
+
+
+def _conservation_failures(row: Doc) -> "int | None":
+    failures = row.get("conservation_failures")
+    return len(failures) if isinstance(failures, list) else None
+
+
+def _min(values: "list[Any]") -> Any:
+    return min(values, default=None)
+
+
+def _max(values: "list[Any]") -> Any:
+    return max(values, default=None)
+
+
+def _mean(values: "list[Any]") -> "float | None":
+    return sum(values) / len(values) if values else None
+
+
+def _zero(value: object) -> bool:
+    return isinstance(value, int) and value == 0
+
+
+def _positive(value: object) -> bool:
+    return isinstance(value, int) and value > 0
+
+
+# ---------------------------------------------------------------------------
+# absolute document gates
+
+
+def _check_degradation(results: Doc) -> "list[str]":
+    """Assert graceful degradation; return human-readable failures.
+
+    Checks, per algorithm: (1) no recall cliff -- when the fault-free
+    cell finds outliers, every faulted cell must still find *some*
+    (recall > 0); (2) the conservation identity holds in every cell;
+    (3) lossy cells actually exercised the transport (retransmissions
+    observed).  Empty list = pass.
+    """
+    failures: "list[str]" = []
+    cells = results["cells"]
+    assert isinstance(cells, list)
+    baselines = {cell["algorithm"]: cell for cell in cells
+                 if cell["loss_rate"] == 0.0
+                 and cell["crash_fraction"] == 0.0}
+    for cell in cells:
+        label = (f"{cell['algorithm']} loss={cell['loss_rate']} "
+                 f"crash={cell['crash_fraction']}")
+        network = cell["network"]
+        assert isinstance(network, dict)
+        if network["conservation_failures"]:
+            failures.append(
+                f"{label}: sent != delivered + dropped for "
+                f"{network['conservation_failures']}")
+        baseline = baselines.get(cell["algorithm"])
+        if baseline is not None and baseline["recall"] > 0.0 \
+                and cell["recall"] == 0.0:
+            failures.append(
+                f"{label}: recall cliffed to zero "
+                f"(fault-free recall {baseline['recall']:.2f})")
+        if cell["loss_rate"] > 0.0 \
+                and network["transport"]["retransmissions"] == 0:
+            failures.append(
+                f"{label}: lossy link but no retransmissions recorded")
+    return failures
+
+
+def _check_recovery(results: Doc) -> "list[str]":
+    """Assert the recovery contract; return human-readable failures.
+
+    Checks, per cell: (1) **zero detection divergence** -- crashes must
+    never change what gets flagged; (2) scheduled crashes actually
+    fired; (3) replay stayed bounded by the checkpoint cadence (the
+    whole point of cadenced checkpoints).  Empty list = pass.
+    """
+    failures: "list[str]" = []
+    cells = results["cells"]
+    assert isinstance(cells, list)
+    for cell in cells:
+        label = (f"{cell['algorithm']} crash_rate={cell['crash_rate']} "
+                 f"cadence={cell['checkpoint_every']}")
+        if cell["divergence"] != 0:
+            failures.append(
+                f"{label}: {cell['divergence']} detection(s) diverged from "
+                f"the uninterrupted run (must be exactly 0)")
+        if cell["n_recoveries"] != cell["n_crashes_scheduled"]:
+            failures.append(
+                f"{label}: {cell['n_recoveries']} recoveries for "
+                f"{cell['n_crashes_scheduled']} scheduled crash(es)")
+        if cell["max_replayed_ticks"] >= cell["checkpoint_every"]:
+            failures.append(
+                f"{label}: replayed {cell['max_replayed_ticks']} ticks in "
+                f"one recovery, >= the cadence {cell['checkpoint_every']}")
+    return failures
+
+
+def _check_latency(results: Doc) -> "list[str]":
+    """Assert the latency contract; return human-readable failures.
+
+    Checks: (1) every recorded latency statistic is **non-negative** --
+    a flag cannot precede its reading; (2) a lossless cell has zero
+    worst-case latency (nothing delays a report when nothing is lost);
+    (3) the sweep flagged *something* overall -- an all-empty grid
+    measures nothing.  Empty list = pass.
+    """
+    failures: "list[str]" = []
+    cells = results["cells"]
+    assert isinstance(cells, list)
+    total_flags = 0
+    for cell in cells:
+        label = (f"{cell['algorithm']} loss_rate={cell['loss_rate']} "
+                 f"staleness={cell['staleness_horizon']}")
+        total_flags += int(cell["n_flags"])
+        for key in ("latency_p50", "latency_p99", "latency_max"):
+            value = cell[key]
+            if value is not None and value < 0:
+                failures.append(
+                    f"{label}: {key} is {value}, flags cannot precede "
+                    f"their readings")
+        worst = cell["latency_max"]
+        if float(cell["loss_rate"]) == 0.0 \
+                and worst is not None and worst != 0:
+            failures.append(
+                f"{label}: lossless cell reports latency_max={worst}, "
+                f"expected 0 (nothing delays a report without loss)")
+    if total_flags == 0:
+        failures.append(
+            "no cell flagged any detection; the sweep measured nothing")
+    return failures
+
+
+def _check_fleet(results: Doc) -> "list[str]":
+    """Assert the fleet contract; return human-readable failures.
+
+    Per cell: (1) zero detection divergence vs the single-process run;
+    (2) the merged trace validates and balances the summed counters
+    exactly; (3) every level-1 lineage record is complete and at least
+    one spans >= 2 worker ids; (4) the cell actually flagged something.
+    Empty list = pass.
+    """
+    failures: "list[str]" = []
+    cells = results["cells"]
+    assert isinstance(cells, list)
+    for cell in cells:
+        label = (f"workers={cell['n_workers']} "
+                 f"loss={cell['loss_rate']}")
+        if cell["divergence"] != 0:
+            failures.append(
+                f"{label}: {cell['divergence']} detection(s) diverged "
+                "from the single-process run (must be exactly 0)")
+        if cell["n_flags"] == 0:
+            failures.append(f"{label}: the cell flagged nothing")
+        if cell["n_sent"] != cell["n_delivered"] + cell["n_dropped"]:
+            failures.append(
+                f"{label}: sent {cell['n_sent']} != delivered "
+                f"{cell['n_delivered']} + dropped {cell['n_dropped']}")
+        if cell.get("n_crashes_scheduled", 0) != cell.get(
+                "n_recoveries", 0):
+            failures.append(
+                f"{label}: {cell['n_recoveries']} recoveries for "
+                f"{cell['n_crashes_scheduled']} scheduled crash(es)")
+        if not cell.get("trace"):
+            continue
+        conservation = cell.get("conservation_failures")
+        if conservation:
+            failures.append(
+                f"{label}: global conservation violated: {conservation}")
+        if cell.get("schema_problems", 0) != 0:
+            failures.append(
+                f"{label}: merged trace has {cell['schema_problems']} "
+                "schema problem(s)")
+        if cell.get("n_level1_records", 0) != cell.get(
+                "n_level1_complete", 0):
+            failures.append(
+                f"{label}: {cell['n_level1_records']} level-1 lineage "
+                f"record(s) but only {cell['n_level1_complete']} complete")
+        if cell.get("n_level1_records", 0) > 0 \
+                and cell.get("n_cross_worker", 0) == 0:
+            failures.append(
+                f"{label}: no lineage record spans >= 2 worker ids")
+        if cell.get("torn_spools", 0) != 0:
+            failures.append(
+                f"{label}: {cell['torn_spools']} spool(s) had torn tails")
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# the record table
+
+#: The one list of bench kinds, their summaries, tables and gates.
+BENCH_KINDS: "Mapping[str, BenchKind]" = MappingProxyType({
+    kind.name: kind for kind in (
+        BenchKind(
+            name="ingest-throughput", stem="throughput", rows=_throughput_rows,
+            summary=(
+                Field("single_node_speedup", _doc_float("single_node", "speedup")),
+                Field("network_speedup", _doc_float("network", "speedup")),
+                Field("single_node_readings_per_sec",
+                      _doc_float("single_node", "batched_readings_per_sec")),
+                Field("network_readings_per_sec",
+                      _doc_float("network", "batched_readings_per_sec")),
+            ),
+            columns=(("workload", "{label}"),
+                     ("scalar rd/s", "{scalar_readings_per_sec:,.0f}"),
+                     ("batched rd/s", "{batched_readings_per_sec:,.0f}"),
+                     ("speedup", "{speedup:.1f}x")),
+            gates=(Gate("single_node_speedup", "drop", 0.20, same_backend=True),
+                   Gate("network_speedup", "drop", 0.20, same_backend=True)),
+        ),
+        BenchKind(
+            name="resilience", stem="resilience", rows=_cells,
+            summary=(
+                Field("min_faultfree_recall", _faultfree, _min, required=True),
+                Field("min_faulted_recall", _faulted, _min),
+                Field("max_message_overhead", _float("message_overhead"), _max),
+            ),
+            columns=(("cell", "{algorithm} loss={loss_rate} "
+                              "crash={crash_fraction}"),
+                     ("precision", "{precision:.2f}"),
+                     ("recall", "{recall:.2f}"),
+                     ("sent", "{network[messages_sent]:,}"),
+                     ("overhead", "{message_overhead:.2f}x"),
+                     ("retx", "{network[transport][retransmissions]:,}")),
+            gates=(Gate("min_faultfree_recall", "drop", 0.15),),
+            # Whatever history says, (near) zero recall under faults is the
+            # cliff the resilience layer exists to prevent.
+            requires=(Require("min_faulted_recall",
+                              lambda v: not _is_number(v) or v >= 0.10,
+                              "below the recall-cliff floor 0.10"),),
+            check=_check_degradation,
+        ),
+        BenchKind(
+            name="kernels", stem="kernels", rows=_kernel_rows,
+            summary=(
+                Field("backend", lambda doc: str(doc.get("backend", "numpy"))),
+                Field("min_speedup", _doc_float("min_speedup")),
+                Field("max_abs_err", _doc_float("max_abs_err")),
+            ),
+            columns=(("case", "{label}"),
+                     ("reference ms", "{reference_ms:,.1f}"),
+                     ("backend ms", "{backend_ms:,.1f}"),
+                     ("speedup", "{speedup:.1f}x"),
+                     ("Mcells/s", "{backend_mcells_per_s:,.0f}"),
+                     ("max |err|", "{max_abs_err:.1e}")),
+            gates=(Gate("min_speedup", "drop", 0.20, same_backend=True),),
+            footer="backend: {backend}   gated min speedup: {min_speedup:.1f}x"
+                   "   (* = not gated)",
+        ),
+        BenchKind(
+            name="recovery", stem="recovery", rows=_cells,
+            summary=(
+                Field("total_divergence", _int("divergence"), sum),
+                Field("recovery_p99_s", _float("recovery_p99_s"), _max),
+                Field("total_replayed_ticks", _int("replayed_ticks"), sum),
+                Field("total_recoveries", _int("n_recoveries"), sum),
+            ),
+            columns=(("cell", "{algorithm} crash_rate={crash_rate} "
+                              "cadence={checkpoint_every}"),
+                     ("crashes", "{n_recoveries}"),
+                     ("diverged", "{divergence}"),
+                     ("p99 s", "{recovery_p99_s:.4f}"),
+                     ("replayed", "{replayed_ticks}"),
+                     ("chk bytes", "{max_checkpoint_bytes:,}")),
+            # Loose: CI timing is noisy.  Correctness is the absolute
+            # zero-divergence condition, never relative.
+            gates=(Gate("recovery_p99_s", "rise", 1.0),),
+            requires=(Require("total_divergence", _zero, "must be exactly 0"),),
+            check=_check_recovery,
+        ),
+        BenchKind(
+            name="latency", stem="latency", rows=_cells,
+            summary=(
+                Field("latency_p99_max", _optional("latency_p99", int), _max),
+                Field("mean_words_per_detection",
+                      _optional("words_per_detection", float), _mean),
+                Field("total_flags", _int("n_flags"), sum),
+                Field("min_recall_level1", _optional("recall_level1", float),
+                      _min),
+            ),
+            columns=(("cell", "{algorithm} loss_rate={loss_rate} "
+                              "staleness={staleness_horizon}"),
+                     ("flags", "{n_flags}"),
+                     ("p50", "{latency_p50}"),
+                     ("p99", "{latency_p99}"),
+                     ("max", "{latency_max}"),
+                     ("words/flag", "{words_per_detection:.1f}"),
+                     ("recall L1", "{recall_level1:.3f}")),
+            # Tick latencies are deterministic, but grid tweaks legitimately
+            # move them; an all-zero history has nothing to gate against.
+            gates=(Gate("latency_p99_max", "rise", 1.0),),
+            requires=(Require("total_flags", _positive,
+                              "the sweep measured nothing"),),
+            check=_check_latency,
+        ),
+        BenchKind(
+            name="fleet", stem="fleet", rows=_cells,
+            summary=(
+                Field("total_divergence", _int("divergence"), sum),
+                Field("total_conservation_failures", _conservation_failures,
+                      sum),
+                Field("total_flags", _int("n_flags"), sum),
+                Field("total_cross_worker", _optional("n_cross_worker", int),
+                      sum),
+                Field("min_readings_per_sec", _float("readings_per_sec"), _min),
+            ),
+            columns=(("cell", "workers={n_workers} loss={loss_rate}"),
+                     ("flags", "{n_flags}"),
+                     ("diverged", "{divergence}"),
+                     ("sent", "{n_sent}"),
+                     ("dlvr", "{n_delivered}"),
+                     ("drop", "{n_dropped}"),
+                     ("xworker", "{n_cross_worker}"),
+                     ("rd/s", "{readings_per_sec:,.0f}")),
+            # Process spawn dominates the small pilot, so readings/sec is
+            # gated loosely; the teeth are the absolute conditions.
+            gates=(Gate("min_readings_per_sec", "drop", 0.75),),
+            requires=(
+                Require("total_divergence", _zero, "must be exactly 0"),
+                Require("total_conservation_failures", _zero,
+                        "must be exactly 0"),
+                Require("total_flags", _positive, "the pilot measured nothing"),
+                Require("total_cross_worker", _positive,
+                        "no lineage record spans two workers"),
+            ),
+            check=_check_fleet,
+        ),
+    )})
+
+
+def bench_kind(name: object) -> BenchKind:
+    """The record of bench kind ``name``."""
+    kind = BENCH_KINDS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise ParameterError(
+            f"unknown benchmark kind {name!r} "
+            f"(expected one of {', '.join(map(repr, BENCH_KINDS))})")
+    return kind
+
+
+# ---------------------------------------------------------------------------
+# shared functions
+
+
+def summarize_benchmark(doc: Doc) -> "dict[str, object]":
     """One history line for a ``BENCH_*.json`` document.
 
     The summary keeps only the gated figures plus the provenance stamp;
     the full document stays in the artifact store, not the history.
     """
-    kind = doc.get("benchmark")
+    kind = bench_kind(doc.get("benchmark"))
     meta = doc.get("meta")
     summary: "dict[str, object]" = {
-        "benchmark": kind,
+        "benchmark": kind.name,
         "meta": dict(meta) if isinstance(meta, Mapping) else {},
     }
-    if kind == "ingest-throughput":
-        single = doc.get("single_node")
-        network = doc.get("network")
-        if not (isinstance(single, Mapping) and isinstance(network, Mapping)):
+    rows = kind.rows(doc)
+    for field in kind.summary:
+        if field.reduce is None:
+            value = field.value(doc)
+        else:
+            value = field.reduce(
+                [v for v in map(field.value, rows) if v is not None])
+        if value is None and field.required:
             raise ParameterError(
-                "throughput document lacks single_node/network sections")
-        summary["single_node_speedup"] = float(single["speedup"])  # type: ignore[arg-type]
-        summary["network_speedup"] = float(network["speedup"])  # type: ignore[arg-type]
-        summary["single_node_readings_per_sec"] = \
-            float(single["batched_readings_per_sec"])  # type: ignore[arg-type]
-        summary["network_readings_per_sec"] = \
-            float(network["batched_readings_per_sec"])  # type: ignore[arg-type]
-    elif kind == "resilience":
-        cells = doc.get("cells")
-        if not isinstance(cells, list) or not cells:
-            raise ParameterError("resilience document lacks cells")
-        faultfree: "list[float]" = []
-        faulted: "list[float]" = []
-        overheads: "list[float]" = []
-        for cell in cells:
-            assert isinstance(cell, Mapping)
-            recall = float(cell["recall"])  # type: ignore[arg-type]
-            if float(cell["loss_rate"]) == 0.0 \
-                    and float(cell["crash_fraction"]) == 0.0:  # type: ignore[arg-type]
-                faultfree.append(recall)
-            else:
-                faulted.append(recall)
-            overheads.append(float(cell["message_overhead"]))  # type: ignore[arg-type]
-        if not faultfree:
-            raise ParameterError(
-                "resilience document has no fault-free cells")
-        summary["min_faultfree_recall"] = min(faultfree)
-        summary["min_faulted_recall"] = min(faulted) if faulted else None
-        summary["max_message_overhead"] = max(overheads)
-    elif kind == "kernels":
-        cases = doc.get("cases")
-        if not isinstance(cases, list) or not cases:
-            raise ParameterError("kernels document lacks cases")
-        summary["backend"] = str(doc.get("backend", "numpy"))
-        summary["min_speedup"] = float(doc["min_speedup"])  # type: ignore[arg-type]
-        summary["max_abs_err"] = float(doc["max_abs_err"])  # type: ignore[arg-type]
-    elif kind == "recovery":
-        cells = doc.get("cells")
-        if not isinstance(cells, list) or not cells:
-            raise ParameterError("recovery document lacks cells")
-        divergence = 0
-        p99s: "list[float]" = []
-        replayed = 0
-        recoveries = 0
-        for cell in cells:
-            assert isinstance(cell, Mapping)
-            divergence += int(cell["divergence"])  # type: ignore[arg-type]
-            p99s.append(float(cell["recovery_p99_s"]))  # type: ignore[arg-type]
-            replayed += int(cell["replayed_ticks"])  # type: ignore[arg-type]
-            recoveries += int(cell["n_recoveries"])  # type: ignore[arg-type]
-        summary["total_divergence"] = divergence
-        summary["recovery_p99_s"] = max(p99s)
-        summary["total_replayed_ticks"] = replayed
-        summary["total_recoveries"] = recoveries
-    elif kind == "latency":
-        cells = doc.get("cells")
-        if not isinstance(cells, list) or not cells:
-            raise ParameterError("latency document lacks cells")
-        p99s_ticks: "list[int]" = []
-        words: "list[float]" = []
-        recalls: "list[float]" = []
-        flags = 0
-        for cell in cells:
-            assert isinstance(cell, Mapping)
-            flags += int(cell["n_flags"])  # type: ignore[arg-type]
-            p99 = cell.get("latency_p99")
-            if isinstance(p99, (int, float)):
-                p99s_ticks.append(int(p99))
-            wpd = cell.get("words_per_detection")
-            if isinstance(wpd, (int, float)):
-                words.append(float(wpd))
-            recall = cell.get("recall_level1")
-            if isinstance(recall, (int, float)):
-                recalls.append(float(recall))
-        summary["latency_p99_max"] = max(p99s_ticks, default=None)
-        summary["mean_words_per_detection"] = \
-            sum(words) / len(words) if words else None
-        summary["total_flags"] = flags
-        summary["min_recall_level1"] = min(recalls) if recalls else None
-    elif kind == "fleet":
-        cells = doc.get("cells")
-        if not isinstance(cells, list) or not cells:
-            raise ParameterError("fleet document lacks cells")
-        divergence = 0
-        conservation = 0
-        flags = 0
-        cross_worker = 0
-        rates: "list[float]" = []
-        for cell in cells:
-            assert isinstance(cell, Mapping)
-            divergence += int(cell["divergence"])  # type: ignore[arg-type]
-            failures = cell.get("conservation_failures")
-            if isinstance(failures, list):
-                conservation += len(failures)
-            flags += int(cell["n_flags"])  # type: ignore[arg-type]
-            cross = cell.get("n_cross_worker")
-            if isinstance(cross, int):
-                cross_worker += cross
-            rates.append(float(cell["readings_per_sec"]))  # type: ignore[arg-type]
-        summary["total_divergence"] = divergence
-        summary["total_conservation_failures"] = conservation
-        summary["total_flags"] = flags
-        summary["total_cross_worker"] = cross_worker
-        summary["min_readings_per_sec"] = min(rates)
-    else:
-        raise ParameterError(
-            f"cannot summarise benchmark kind {kind!r} "
-            "(expected 'ingest-throughput', 'resilience', 'kernels', "
-            "'recovery', 'latency' or 'fleet')")
+                f"{kind.name} document has no cells for {field.name}")
+        summary[field.name] = value
     return summary
+
+
+def check_benchmark(doc: Doc) -> "list[str]":
+    """The kind's absolute gate on a fresh document; [] = pass."""
+    check = bench_kind(doc.get("benchmark")).check
+    return check(doc) if check is not None else []
+
+
+class _RowFormatter(string.Formatter):
+    """``str.format`` over a row where missing or ``None`` prints ``-``."""
+
+    def get_value(self, key: "int | str", args: "Sequence[Any]",
+                  kwargs: "Mapping[str, Any]") -> Any:
+        return kwargs.get(key) if isinstance(key, str) else args[key]
+
+    def format_field(self, value: Any, format_spec: str) -> str:
+        return "-" if value is None else format(value, format_spec)
+
+
+def format_benchmark(doc: Doc) -> str:
+    """The document as the kind's aligned text table."""
+    kind = bench_kind(doc.get("benchmark"))
+    formatter = _RowFormatter()
+    table = render_table(
+        [header for header, _ in kind.columns],
+        [[formatter.vformat(template, (), row)
+          for _, template in kind.columns] for row in kind.rows(doc)])
+    if kind.footer:
+        table += "\n" + formatter.vformat(kind.footer, (), doc)
+    return table
+
+
+def write_benchmark(doc: Doc, path: "str | Path") -> Path:
+    """Atomically write the result document as JSON; return the path."""
+    return atomic_write_text(
+        path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _entry_backend(entry: "Mapping[str, object]") -> str:
@@ -265,19 +620,19 @@ def history_path(kind: str,
     """The history file for benchmark kind ``kind``."""
     base = Path(history_dir) if history_dir is not None \
         else DEFAULT_HISTORY_DIR
-    stem = {"ingest-throughput": "throughput",
-            "resilience": "resilience",
-            "kernels": "kernels",
-            "recovery": "recovery",
-            "latency": "latency",
-            "fleet": "fleet"}.get(kind)
-    if stem is None:
-        raise ParameterError(f"unknown benchmark kind {kind!r}")
-    return base / f"{stem}.jsonl"
+    return base / f"{bench_kind(kind).stem}.jsonl"
+
+
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"non-finite number {token}")
 
 
 def load_history(path: "str | Path") -> "list[dict[str, object]]":
-    """All summary lines of a history file (empty when absent)."""
+    """All summary lines of a history file (empty when absent).
+
+    ``NaN`` and ``Infinity`` tokens make a line malformed: a
+    non-finite prior would silently disable every relative gate.
+    """
     history_file = Path(path)
     if not history_file.exists():
         return []
@@ -287,8 +642,8 @@ def load_history(path: "str | Path") -> "list[dict[str, object]]":
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
+            entry = json.loads(line, parse_constant=_reject_constant)
+        except ValueError as exc:
             raise ParameterError(
                 f"{history_file}:{i}: malformed history line: {exc}"
             ) from None
@@ -299,14 +654,13 @@ def load_history(path: "str | Path") -> "list[dict[str, object]]":
     return entries
 
 
-def append_history(doc: "Mapping[str, object]",
-                   history_dir: "str | Path | None" = None,
+def append_history(doc: Doc, history_dir: "str | Path | None" = None,
                    ) -> "tuple[Path, dict[str, object]]":
     """Summarise ``doc`` and append it to its history file.
 
     Returns the history path and the appended summary.  Re-appending
-    the same git sha + seed is skipped (CI retries must not inflate the
-    history), signalled by returning the existing entry.
+    the same git sha + seed + backend is skipped (CI retries must not
+    inflate the history), signalled by returning the existing entry.
     """
     summary = summarize_benchmark(doc)
     path = history_path(str(doc["benchmark"]), history_dir)
@@ -319,6 +673,7 @@ def append_history(doc: "Mapping[str, object]",
                 and prior.get("git_sha") not in (None, "unknown")
                 and prior.get("git_sha") == meta.get("git_sha")
                 and prior.get("seed") == meta.get("seed")
+                and _entry_backend(entry) == _entry_backend(summary)
                 and entry.get("benchmark") == summary["benchmark"]):
             return path, entry
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -328,141 +683,71 @@ def append_history(doc: "Mapping[str, object]",
     return path, summary
 
 
-def _check_drop(name: str, latest: float, priors: "Sequence[float]",
-                tolerance: float, problems: "list[str]") -> None:
-    baseline = _median(priors)
-    if baseline <= 0 or not math.isfinite(baseline):
-        return
-    drop = (baseline - latest) / baseline
-    if drop > tolerance:
-        problems.append(
-            f"{name} regressed {drop:.1%} vs prior median "
-            f"({latest:.4g} < {baseline:.4g}, tolerance {tolerance:.0%})")
+def _relative_problems(kind: BenchKind, latest: "Mapping[str, object]",
+                       priors: "Sequence[Mapping[str, object]]",
+                       tolerance: "float | None" = None) -> "list[str]":
+    """Problems of ``kind``'s relative gates, latest vs prior median.
+
+    ``tolerance`` replaces every gate's own tolerance when given.
+    """
+    problems: "list[str]" = []
+    for gate in kind.gates:
+        value = latest.get(gate.field)
+        if not isinstance(value, (int, float)):
+            continue
+        if not math.isfinite(value):
+            problems.append(f"{gate.field} is {value!r}, not a finite number")
+            continue
+        pool = [e for e in priors
+                if _entry_backend(e) == _entry_backend(latest)] \
+            if gate.same_backend else priors
+        history = [float(e[gate.field])  # type: ignore[arg-type]
+                   for e in pool if _is_number(e.get(gate.field))]
+        if not history:
+            continue
+        baseline = _median(history)
+        if baseline <= 0 or not math.isfinite(baseline):
+            continue
+        limit = gate.tolerance if tolerance is None else tolerance
+        change = (value - baseline) / baseline
+        if gate.direction == "drop":
+            change = -change
+        if change > limit:
+            verb, sign = ("regressed", "<") if gate.direction == "drop" \
+                else ("rose", ">")
+            problems.append(
+                f"{gate.field} {verb} {change:.1%} vs prior median "
+                f"({value:.4g} {sign} {baseline:.4g}, tolerance {limit:.0%})")
+    return problems
 
 
-def check_history(entries: "Sequence[Mapping[str, object]]", *,
-                  tolerances: "RegressionTolerances | None" = None,
+def check_history(entries: "Sequence[Mapping[str, object]]",
                   ) -> "list[str]":
     """Problems with the latest entry vs the prior median; [] = pass.
 
     Fewer than two entries always pass: regression is relative by
     definition.
     """
-    tolerances = tolerances if tolerances is not None \
-        else RegressionTolerances()
     if len(entries) < 2:
         return []
     latest = entries[-1]
-    priors = entries[:-1]
-    kind = latest.get("benchmark")
-    problems: "list[str]" = []
-    if kind == "ingest-throughput":
-        # Only compare runs of the same compute backend: a numpy run
-        # regressing against numba history would gate on the wrong thing.
-        same_backend = [e for e in priors
-                        if _entry_backend(e) == _entry_backend(latest)]
-        for key in ("single_node_speedup", "network_speedup"):
-            history = [float(e[key])  # type: ignore[arg-type]
-                       for e in same_backend
-                       if isinstance(e.get(key), (int, float))]
-            value = latest.get(key)
-            if history and isinstance(value, (int, float)):
-                _check_drop(key, float(value), history,
-                            tolerances.throughput_drop, problems)
-    elif kind == "kernels":
-        same_backend = [e for e in priors
-                        if _entry_backend(e) == _entry_backend(latest)]
-        history = [float(e["min_speedup"])  # type: ignore[arg-type]
-                   for e in same_backend
-                   if isinstance(e.get("min_speedup"), (int, float))]
-        value = latest.get("min_speedup")
-        if history and isinstance(value, (int, float)):
-            _check_drop("min_speedup", float(value), history,
-                        tolerances.throughput_drop, problems)
-    elif kind == "resilience":
-        history = [float(e["min_faultfree_recall"])  # type: ignore[arg-type]
-                   for e in priors
-                   if isinstance(e.get("min_faultfree_recall"),
-                                 (int, float))]
-        value = latest.get("min_faultfree_recall")
-        if history and isinstance(value, (int, float)):
-            _check_drop("min_faultfree_recall", float(value), history,
-                        tolerances.recall_cliff_drop, problems)
-        faulted = latest.get("min_faulted_recall")
-        if isinstance(faulted, (int, float)) \
-                and faulted < tolerances.min_faulted_recall:
-            problems.append(
-                f"min_faulted_recall {faulted:.3f} below the cliff floor "
-                f"{tolerances.min_faulted_recall:.3f}")
-    elif kind == "recovery":
-        # Correctness is absolute, never relative: any divergence between
-        # the crashed and uninterrupted runs fails regardless of history.
-        divergence = latest.get("total_divergence")
-        if not isinstance(divergence, int) or divergence != 0:
-            problems.append(
-                f"total_divergence is {divergence!r}, must be exactly 0")
-        history = [float(e["recovery_p99_s"])  # type: ignore[arg-type]
-                   for e in priors
-                   if isinstance(e.get("recovery_p99_s"), (int, float))]
-        value = latest.get("recovery_p99_s")
-        if history and isinstance(value, (int, float)):
-            baseline = _median(history)
-            if baseline > 0 and math.isfinite(baseline):
-                rise = (float(value) - baseline) / baseline
-                if rise > tolerances.recovery_time_rise:
-                    problems.append(
-                        f"recovery_p99_s rose {rise:.1%} vs prior median "
-                        f"({value:.4g} > {baseline:.4g}, tolerance "
-                        f"{tolerances.recovery_time_rise:.0%})")
-    elif kind == "latency":
-        flags = latest.get("total_flags")
-        if not isinstance(flags, int) or flags <= 0:
-            problems.append(
-                f"total_flags is {flags!r}, the sweep measured nothing")
-        history = [float(e["latency_p99_max"])  # type: ignore[arg-type]
-                   for e in priors
-                   if isinstance(e.get("latency_p99_max"), (int, float))]
-        value = latest.get("latency_p99_max")
-        if history and isinstance(value, (int, float)):
-            baseline = _median(history)
-            # Tick latencies are small integers; an all-zero history
-            # (e.g. a lossless-only grid) has nothing to gate against.
-            if baseline > 0 and math.isfinite(baseline):
-                rise = (float(value) - baseline) / baseline
-                if rise > tolerances.latency_rise:
-                    problems.append(
-                        f"latency_p99_max rose {rise:.1%} vs prior median "
-                        f"({value:.4g} > {baseline:.4g} ticks, tolerance "
-                        f"{tolerances.latency_rise:.0%})")
-    elif kind == "fleet":
-        # Sharding must never change detections or leak messages:
-        # both gates are absolute, like recovery's divergence gate.
-        divergence = latest.get("total_divergence")
-        if not isinstance(divergence, int) or divergence != 0:
-            problems.append(
-                f"total_divergence is {divergence!r}, must be exactly 0")
-        conservation = latest.get("total_conservation_failures")
-        if not isinstance(conservation, int) or conservation != 0:
-            problems.append(
-                f"total_conservation_failures is {conservation!r}, "
-                "must be exactly 0")
-        flags = latest.get("total_flags")
-        if not isinstance(flags, int) or flags <= 0:
-            problems.append(
-                f"total_flags is {flags!r}, the pilot measured nothing")
-        cross = latest.get("total_cross_worker")
-        if not isinstance(cross, int) or cross <= 0:
-            problems.append(
-                f"total_cross_worker is {cross!r}, no lineage record "
-                "spans two workers")
-        history = [float(e["min_readings_per_sec"])  # type: ignore[arg-type]
-                   for e in priors
-                   if isinstance(e.get("min_readings_per_sec"),
-                                 (int, float))]
-        value = latest.get("min_readings_per_sec")
-        if history and isinstance(value, (int, float)):
-            _check_drop("min_readings_per_sec", float(value), history,
-                        tolerances.fleet_throughput_drop, problems)
-    else:
-        problems.append(f"latest entry has unknown benchmark kind {kind!r}")
-    return problems
+    try:
+        kind = bench_kind(latest.get("benchmark"))
+    except ParameterError as exc:
+        return [f"latest entry: {exc}"]
+    problems = [f"{req.field} is {latest.get(req.field)!r}, {req.why}"
+                for req in kind.requires if not req.ok(latest.get(req.field))]
+    return problems + _relative_problems(kind, latest, entries[:-1])
+
+
+def check_baseline(current: Doc, baseline: Doc) -> "list[str]":
+    """Relative gates of a fresh document vs a committed baseline.
+
+    Both documents are summarised and compared with
+    :data:`BASELINE_TOLERANCE`; gates that count only same-backend
+    priors skip a baseline from another backend.  [] = pass.
+    """
+    kind = bench_kind(current.get("benchmark"))
+    return _relative_problems(kind, summarize_benchmark(current),
+                              [summarize_benchmark(baseline)],
+                              BASELINE_TOLERANCE)

@@ -20,22 +20,20 @@ message counts.  This module measures that promise on a grid of
 * message overhead is each cell's total sends (data + retransmissions +
   acks + handoffs) relative to the algorithm's fault-free cell.
 
-Results are written to ``BENCH_resilience.json``.
-:func:`check_degradation` asserts the no-cliff property and the per-kind
-conservation identity ``sent == delivered + dropped`` for every cell.
+Results are written to ``BENCH_resilience.json``.  Its record in
+:mod:`repro.eval.regression` asserts the no-cliff property and the
+per-kind conservation identity ``sent == delivered + dropped`` for every
+cell.
 Everything is seeded, so a cell replays bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 from types import MappingProxyType
-from pathlib import Path
 
 import numpy as np
 
-from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro.eval.harness import ExperimentConfig, run_accuracy_run
 from repro.eval.provenance import run_metadata
@@ -43,13 +41,7 @@ from repro.eval.provenance import run_metadata
 __all__ = [
     "run_resilience_cell",
     "run_resilience_benchmark",
-    "write_results",
-    "check_degradation",
-    "format_table",
 ]
-
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_resilience.json"
 
 #: Dataset per algorithm: the one whose ground truth exercises each
 #: detector at benchmark scale (matching the accuracy-test suites).
@@ -149,70 +141,3 @@ def run_resilience_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
-def check_degradation(results: "dict[str, object]") -> "list[str]":
-    """Assert graceful degradation; return human-readable failures.
-
-    Checks, per algorithm: (1) no recall cliff -- when the fault-free
-    cell finds outliers, every faulted cell must still find *some*
-    (recall > 0); (2) the conservation identity holds in every cell;
-    (3) lossy cells actually exercised the transport (retransmissions
-    observed).  Empty list = pass.
-    """
-    failures: "list[str]" = []
-    cells = results["cells"]
-    assert isinstance(cells, list)
-    baselines = {cell["algorithm"]: cell for cell in cells
-                 if cell["loss_rate"] == 0.0
-                 and cell["crash_fraction"] == 0.0}
-    for cell in cells:
-        label = (f"{cell['algorithm']} loss={cell['loss_rate']} "
-                 f"crash={cell['crash_fraction']}")
-        network = cell["network"]
-        assert isinstance(network, dict)
-        if network["conservation_failures"]:
-            failures.append(
-                f"{label}: sent != delivered + dropped for "
-                f"{network['conservation_failures']}")
-        baseline = baselines.get(cell["algorithm"])
-        if baseline is not None and baseline["recall"] > 0.0 \
-                and cell["recall"] == 0.0:
-            failures.append(
-                f"{label}: recall cliffed to zero "
-                f"(fault-free recall {baseline['recall']:.2f})")
-        if cell["loss_rate"] > 0.0 \
-                and network["transport"]["retransmissions"] == 0:
-            failures.append(
-                f"{label}: lossy link but no retransmissions recorded")
-    return failures
-
-
-def format_table(results: "dict[str, object]") -> str:
-    """Render the fault grid as an aligned text table."""
-    rows = [("cell", "precision", "recall", "sent", "overhead", "retx")]
-    cells = results["cells"]
-    assert isinstance(cells, list)
-    for cell in cells:
-        network = cell["network"]
-        rows.append((
-            f"{cell['algorithm']} loss={cell['loss_rate']} "
-            f"crash={cell['crash_fraction']}",
-            f"{cell['precision']:.2f}",
-            f"{cell['recall']:.2f}",
-            f"{network['messages_sent']:,}",
-            f"{cell['message_overhead']:.2f}x",
-            f"{network['transport']['retransmissions']:,}",
-        ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell_.rjust(widths[i]) if i else cell_.ljust(widths[i])
-                       for i, cell_ in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)

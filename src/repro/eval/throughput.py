@@ -15,22 +15,19 @@ measures both sides of that promise on a fixed workload:
   :meth:`~repro.network.simulator.NetworkSimulator.run_batched`
   (identical detection logs and message counts are asserted).
 
-Results are written to ``BENCH_throughput.json``.  Regression checks
-compare the dimensionless *speedup ratios* against a committed baseline
+Results are written to ``BENCH_throughput.json``.  Its record in
+:mod:`repro.eval.regression` gates the dimensionless *speedup ratios*
 -- absolute readings/sec depend on the machine, the ratio does not.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import platform
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro.core.outliers import DistanceOutlierSpec
 from repro.data.streams import StreamSet
@@ -45,14 +42,7 @@ __all__ = [
     "measure_single_node",
     "measure_network",
     "run_throughput_benchmark",
-    "write_results",
-    "check_regression",
-    "format_table",
 ]
-
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_throughput.json"
-
 
 def _flags(decisions) -> "list[bool | None]":
     return [None if d is None else bool(d.is_outlier) for d in decisions]
@@ -206,49 +196,3 @@ def run_throughput_benchmark(*, window_size: int = 2_000,
             n_leaves=n_leaves, n_ticks=min(n_ticks, 400), seed=seed,
             trace_path=obs if isinstance(obs, str) else None)
     return results
-
-
-def write_results(results: dict, path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
-def check_regression(current: dict, baseline: dict,
-                     tolerance: float = 0.30) -> "list[str]":
-    """Compare speedup ratios against a baseline document.
-
-    Returns a list of human-readable failures (empty = pass).  Only the
-    dimensionless ``speedup`` fields are compared -- absolute throughput
-    is machine-dependent and would make the committed baseline
-    meaningless on other hardware.
-    """
-    failures = []
-    for section in ("single_node", "network"):
-        base = baseline.get(section, {}).get("speedup")
-        curr = current.get(section, {}).get("speedup")
-        if base is None or curr is None:
-            continue
-        floor = base * (1.0 - tolerance)
-        if curr < floor:
-            failures.append(
-                f"{section}: speedup {curr:.2f}x regressed more than "
-                f"{tolerance:.0%} below baseline {base:.2f}x")
-    return failures
-
-
-def format_table(results: dict) -> str:
-    """Render the two measurements as an aligned text table."""
-    rows = [("workload", "scalar rd/s", "batched rd/s", "speedup")]
-    for section, label in (("single_node", "single node"),
-                           ("network", "d3 network")):
-        data = results[section]
-        rows.append((label,
-                     f"{data['scalar_readings_per_sec']:,.0f}",
-                     f"{data['batched_readings_per_sec']:,.0f}",
-                     f"{data['speedup']:.1f}x"))
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    lines = ["  ".join(cell.rjust(widths[i]) if i else cell.ljust(widths[i])
-                       for i, cell in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)

@@ -17,14 +17,13 @@ import pytest
 from repro._exceptions import ParameterError
 from repro.eval.fleet import (
     MERGED_TRACE_NAME,
-    check_fleet,
     fleet_workload,
-    format_table,
     partition_streams,
     run_fleet_benchmark,
     run_fleet_cell,
     stream_seeds,
 )
+from repro.eval.regression import check_benchmark, format_benchmark
 from repro.obs.distributed import load_spools, load_trace_meta, merge_spools
 from repro.obs.lineage import reconstruct
 
@@ -34,6 +33,10 @@ FAULTED = dict(algorithm="d3", n_workers=3, n_streams=6, n_ticks=160,
                window_size=60, sample_size=24, batch_size=32,
                checkpoint_every=48, loss_rate=0.3, crash_ticks=(80,),
                seed=7, trace=True, use_processes=False)
+
+
+def _doc(*cells):
+    return {"benchmark": "fleet", "cells": list(cells)}
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +138,7 @@ class TestFaultedCell:
 
     def test_check_fleet_passes_the_real_cell(self, faulted):
         _, cell = faulted
-        assert check_fleet({"cells": [cell]}) == []
+        assert check_benchmark(_doc(cell)) == []
 
 
 class TestCleanCell:
@@ -149,7 +152,7 @@ class TestCleanCell:
         assert cell["n_dropped"] == 0
         assert cell["n_sent"] == cell["n_delivered"]
         assert cell["conservation_failures"] == []
-        assert check_fleet({"cells": [cell]}) == []
+        assert check_benchmark(_doc(cell)) == []
 
     def test_untraced_cell_matches_traced_detections(self):
         kwargs = dict(algorithm="d3", n_workers=2, n_streams=4,
@@ -188,7 +191,7 @@ class TestMultiprocess:
         assert cell["conservation_failures"] == []
         assert cell["n_recoveries"] == 2
         assert cell["n_cross_worker"] > 0
-        assert check_fleet({"cells": [cell]}) == []
+        assert check_benchmark(_doc(cell)) == []
 
 
 class TestBenchmarkDoc:
@@ -203,16 +206,16 @@ class TestBenchmarkDoc:
         assert len(doc["cells"]) == 1
         assert "git_sha" in doc["meta"]
         assert (tmp_path / "cell-0" / MERGED_TRACE_NAME).exists()
-        assert check_fleet(doc) == []
+        assert check_benchmark(doc) == []
 
     def test_check_fleet_catches_tampering(self, faulted):
         _, cell = faulted
-        doc = {"cells": [copy.deepcopy(cell)]}
+        doc = _doc(copy.deepcopy(cell))
         doc["cells"][0]["divergence"] = 5
         doc["cells"][0]["n_recoveries"] = 0
         doc["cells"][0]["n_cross_worker"] = 0
         doc["cells"][0]["conservation_failures"] = ["leak"]
-        problems = check_fleet(doc)
+        problems = check_benchmark(doc)
         assert any("diverged" in p for p in problems)
         assert any("recover" in p for p in problems)
         assert any("worker ids" in p for p in problems)
@@ -220,6 +223,6 @@ class TestBenchmarkDoc:
 
     def test_format_table_lists_every_cell(self, faulted):
         _, cell = faulted
-        table = format_table({"cells": [cell]})
+        table = format_benchmark(_doc(cell))
         assert "xworker" in table.splitlines()[0]
         assert "workers=3 loss=0.3" in table

@@ -8,11 +8,14 @@ from pathlib import Path
 import pytest
 
 from repro._exceptions import ParameterError
-from repro.eval.regression import (RegressionTolerances, append_history,
-                                   check_history, history_path, load_history,
-                                   summarize_benchmark)
+from repro.eval.regression import (BENCH_KINDS, append_history,
+                                   check_benchmark, check_history,
+                                   format_benchmark, history_path,
+                                   load_history, summarize_benchmark,
+                                   write_benchmark)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+BENCH_DOCS = sorted(REPO_ROOT.glob("BENCH_*.json"))
 
 
 def _throughput_doc(*, single=6.0, network=2.5, sha="abc123", seed=0):
@@ -94,17 +97,46 @@ class TestSummarize:
             assert summary["benchmark"] == doc["benchmark"]
 
 
-class TestTolerances:
-    @pytest.mark.parametrize("kwargs", [
-        {"throughput_drop": 0.0},
-        {"throughput_drop": 1.0},
-        {"recall_cliff_drop": -0.1},
-        {"min_faulted_recall": 1.5},
-        {"latency_rise": 0.0},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ParameterError):
-            RegressionTolerances(**kwargs)
+class TestRecords:
+    def test_tolerances_in_range(self):
+        # The tolerances are constants in the records, not options, so
+        # their sanity is asserted here rather than at run time.
+        for kind in BENCH_KINDS.values():
+            for gate in kind.gates:
+                assert gate.direction in ("drop", "rise"), gate
+                upper = 1.0 if gate.direction == "drop" else float("inf")
+                assert 0.0 < gate.tolerance < upper, gate
+
+    def test_every_committed_artifact_has_a_record(self):
+        assert len(BENCH_DOCS) == len(BENCH_KINDS) == 6
+        for path in BENCH_DOCS:
+            doc = json.loads(path.read_text())
+            assert history_path(doc["benchmark"]).name == \
+                path.name.replace("BENCH_", "").replace(".json", ".jsonl")
+
+    @pytest.mark.parametrize("path", BENCH_DOCS, ids=lambda p: p.name)
+    def test_committed_artifact_passes_gate_and_formats(self, path):
+        doc = json.loads(path.read_text())
+        assert check_benchmark(doc) == []
+        table = format_benchmark(doc)
+        rows = BENCH_KINDS[doc["benchmark"]].rows(doc)
+        assert len(table.splitlines()) >= len(rows) + 2
+
+    @pytest.mark.parametrize("path", BENCH_DOCS, ids=lambda p: p.name)
+    def test_write_format(self, path, tmp_path):
+        # The artifact format every bench has always written: indent=2,
+        # sorted keys, trailing newline.
+        doc = json.loads(path.read_text())
+        out = write_benchmark(doc, tmp_path / path.name)
+        assert out.read_text() == \
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_table_prints_missing_values_as_dash(self):
+        doc = _latency_doc()
+        doc["cells"][0]["words_per_detection"] = None
+        del doc["cells"][0]["recall_level1"]
+        row = format_benchmark(doc).splitlines()[2]
+        assert row.split()[-2:] == ["-", "-"]
 
 
 class TestHistoryFiles:
@@ -138,6 +170,40 @@ class TestHistoryFiles:
     def test_unknown_kind_has_no_path(self):
         with pytest.raises(ParameterError):
             history_path("mystery")
+
+    def test_same_sha_seed_other_backend_appended(self, tmp_path):
+        # docs/PERFORMANCE.md's sequence: a numpy kernels bench, then a
+        # numba one at the same sha and seed.  The numba run is a new
+        # entry, not a CI retry; dropping it would let ``gate`` re-check
+        # the numpy entry and pass a 90% numba regression.
+        def kernels(backend, speedup, sha):
+            return {"benchmark": "kernels", "backend": backend,
+                    "meta": {"git_sha": sha, "seed": 0, "backend": backend},
+                    "cases": [{"case": "range", "gated": True,
+                               "reference_s": 1.0, "backend_s": 0.1}],
+                    "min_speedup": speedup, "max_abs_err": 0.0}
+
+        append_history(kernels("numba", 40.0, "old"), tmp_path)
+        append_history(kernels("numpy", 5.0, "new"), tmp_path)
+        path, summary = append_history(kernels("numba", 4.0, "new"),
+                                       tmp_path)
+        assert summary["min_speedup"] == 4.0
+        entries = load_history(path)
+        assert [e["backend"] for e in entries] == ["numba", "numpy", "numba"]
+        problems = check_history(entries)
+        assert any("min_speedup" in p for p in problems), problems
+        # A true retry (same sha, seed and backend) is still skipped.
+        _, existing = append_history(kernels("numba", 4.1, "new"), tmp_path)
+        assert existing == summary
+        assert len(load_history(path)) == 3
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        path = tmp_path / "kernels.jsonl"
+        path.write_text('{"benchmark": "kernels", "min_speedup": %s}\n'
+                        % token)
+        with pytest.raises(ParameterError, match="non-finite"):
+            load_history(path)
 
 
 class TestGate:
@@ -199,9 +265,21 @@ class TestGate:
 
     def test_committed_history_passes(self):
         # The repository's own seeded history must gate green.
-        for stem in ("throughput", "resilience", "latency"):
-            path = REPO_ROOT / "benchmarks" / "history" / f"{stem}.jsonl"
+        for kind in BENCH_KINDS:
+            path = history_path(kind, REPO_ROOT / "benchmarks" / "history")
             assert check_history(load_history(path)) == []
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind.name, gate.field)
+        for kind in BENCH_KINDS.values() for gate in kind.gates])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_latest_figure_fails(self, kind, field, value):
+        entries = [{"benchmark": kind, field: 1.0},
+                   {"benchmark": kind, field: value}]
+        problems = check_history(entries)
+        assert any(p.startswith(field) and "finite" in p
+                   for p in problems), problems
 
 
 class TestCliTool:
@@ -224,6 +302,22 @@ class TestCliTool:
             capture_output=True, text=True, cwd=REPO_ROOT)
         assert second.returncode == 1
         assert "REGRESSION" in second.stderr
+
+    def test_non_finite_history_line_exits_2(self, tmp_path):
+        import subprocess
+        import sys
+        history = tmp_path / "history"
+        history.mkdir()
+        (history / "throughput.jsonl").write_text(
+            '{"benchmark": "ingest-throughput", "single_node_speedup": NaN}\n')
+        doc_path = tmp_path / "BENCH_throughput.json"
+        doc_path.write_text(json.dumps(_throughput_doc()))
+        run = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "bench_history.py"),
+             "check", str(doc_path), "--history-dir", str(history)],
+            capture_output=True, text=True, cwd=REPO_ROOT)
+        assert run.returncode == 2
+        assert "non-finite" in run.stderr
 
 
 def _fleet_doc(*, divergence=0, conservation=(), flags=40,
@@ -289,8 +383,8 @@ class TestFleetKind:
         assert any("min_readings_per_sec" in p for p in problems)
 
     def test_fleet_tolerance_validated(self):
-        with pytest.raises(ParameterError):
-            RegressionTolerances(fleet_throughput_drop=0.0)
+        (gate,) = BENCH_KINDS["fleet"].gates
+        assert gate == ("min_readings_per_sec", "drop", 0.75, False)
 
     def test_committed_fleet_artifacts_gate_green(self):
         doc = json.loads((REPO_ROOT / "BENCH_fleet.json").read_text())

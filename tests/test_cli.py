@@ -222,6 +222,28 @@ class TestCommands:
         assert names
         assert any("bench_recovery" in name for name in names)
 
+    def test_bench_gate_failure_exits_nonzero(self, tmp_path, capsys,
+                                              monkeypatch):
+        # The absolute gate of the kind's record decides the exit code,
+        # after the artifact is written.
+        import json
+
+        from repro.eval import latency_bench
+
+        doc = {"benchmark": "latency", "meta": {}, "cells": [
+            {"algorithm": "d3", "loss_rate": 0.0, "staleness_horizon": 30,
+             "n_flags": 0, "latency_p50": None, "latency_p99": None,
+             "latency_max": None, "words_per_detection": None,
+             "recall_level1": None}]}
+        monkeypatch.setattr(latency_bench, "run_latency_benchmark",
+                            lambda **_: doc)
+        json_out = tmp_path / "latency.json"
+        assert main(["bench-latency", "--json-out", str(json_out)]) == 1
+        captured = capsys.readouterr()
+        assert "GATE FAILURE" in captured.err
+        assert "measured nothing" in captured.err
+        assert json.loads(json_out.read_text()) == doc
+
     def test_bench_latency_and_explain_round_trip(self, tmp_path, capsys):
         import json
 

@@ -7,20 +7,17 @@ Usage::
     python tools/bench_history.py gate BENCH_throughput.json
 
 ``append`` summarises a ``BENCH_*.json`` document (keeping its
-provenance stamp) onto ``benchmarks/history/<kind>.jsonl``; duplicate
-git sha + seed entries are skipped so CI retries do not inflate the
-history.  ``check`` reports whether the document would regress against
-the committed history without touching it; ``gate`` appends and then
-checks the updated history, exiting non-zero on regression -- the mode
-the CI bench jobs run.  Tolerances (relative throughput drop, recall
-cliff) live in :mod:`repro.eval.regression` and can be overridden with
-``--throughput-drop`` / ``--recall-cliff-drop`` / ``--latency-rise`` /
-``--fleet-throughput-drop``.
+provenance stamp) onto ``benchmarks/history/<stem>.jsonl``; duplicate
+git sha + seed + backend entries are skipped so CI retries do not
+inflate the history.  ``check`` reports whether the document would
+regress against the committed history without touching it; ``gate``
+appends and then checks the updated history, exiting 1 on regression
+-- the mode the CI bench jobs run.  A malformed document or history
+line (including ``NaN``/``Infinity`` tokens) exits 2.
 
-Known kinds: ``ingest-throughput``, ``resilience``, ``kernels``,
-``recovery``, ``latency`` and ``fleet`` (the multiprocess pilot --
-gated absolutely on zero divergence/conservation failures, loosely on
-readings/sec).
+Every kind, its summary figures, gates and tolerances are one record
+each in ``BENCH_KINDS`` (:mod:`repro.eval.regression`); the tolerances
+are constants there, not options.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro._exceptions import ParameterError  # noqa: E402
 from repro.eval.regression import (  # noqa: E402
-    RegressionTolerances,
     append_history,
     check_history,
     history_path,
@@ -58,40 +54,17 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_history",
         description="append BENCH_*.json results to benchmarks/history/ "
-                    "and gate on relative regression tolerances")
+                    "and gate on the bench-kind records' tolerances")
     parser.add_argument("mode", choices=("append", "check", "gate"),
                         help="append only, check only, or append+check")
     parser.add_argument("bench", help="path to a BENCH_*.json document")
     parser.add_argument("--history-dir", default=None,
                         help="history directory "
                              "(default: benchmarks/history/)")
-    parser.add_argument("--throughput-drop", type=float, default=0.20,
-                        help="tolerated relative speedup drop vs the "
-                             "prior median (default 0.20)")
-    parser.add_argument("--recall-cliff-drop", type=float, default=0.15,
-                        help="tolerated relative fault-free recall drop "
-                             "(default 0.15)")
-    parser.add_argument("--recovery-time-rise", type=float, default=1.0,
-                        help="tolerated relative recovery-time P99 rise "
-                             "vs the prior median (default 1.0)")
-    parser.add_argument("--latency-rise", type=float, default=1.0,
-                        help="tolerated relative detection-latency P99 "
-                             "rise vs the prior median (default 1.0)")
-    parser.add_argument("--fleet-throughput-drop", type=float,
-                        default=0.75,
-                        help="tolerated relative fleet readings/sec drop "
-                             "vs the prior median (default 0.75; spawn "
-                             "overhead makes the pilot noisy)")
     args = parser.parse_args(argv)
 
     try:
         doc = _load_doc(args.bench)
-        tolerances = RegressionTolerances(
-            throughput_drop=args.throughput_drop,
-            recall_cliff_drop=args.recall_cliff_drop,
-            recovery_time_rise=args.recovery_time_rise,
-            latency_rise=args.latency_rise,
-            fleet_throughput_drop=args.fleet_throughput_drop)
         if args.mode == "append":
             path, summary = append_history(doc, args.history_dir)
             print(f"appended to {path}: {json.dumps(summary, sort_keys=True)}")
@@ -103,7 +76,7 @@ def main(argv: "list[str] | None" = None) -> int:
         else:  # gate
             path, _ = append_history(doc, args.history_dir)
             entries = load_history(path)
-        problems = check_history(entries, tolerances=tolerances)
+        problems = check_history(entries)
     except ParameterError as exc:
         print(f"bench_history: {exc}", file=sys.stderr)
         return 2

@@ -37,13 +37,14 @@ implementations.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
 from scipy.special import ndtr
 
 from repro.core.kernels import Kernel
 
-__all__ = ["range_batch", "pdf_batch", "cdf_diff_rows"]
+__all__ = ["range_batch", "range_lanes", "pdf_batch", "cdf_diff_rows"]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -87,6 +88,36 @@ def _profile_inplace(kernel: Kernel, name: str, u: np.ndarray,
     return scratch
 
 
+def _range_block(kernel: Kernel, name: str,
+                 dims: "list[tuple[Any, Any, Any, Any]]",
+                 z_hi: np.ndarray, z_lo: np.ndarray, buf: np.ndarray,
+                 acc: np.ndarray, out: np.ndarray) -> None:
+    """One block of Eq. 5 range probabilities into ``out``.
+
+    ``dims`` holds one ``(lows, highs, centres, inv_bw)`` tuple per
+    dimension, each broadcasting to the block's ``(..., k, n)`` shape
+    (``k`` queries against ``n`` centres).  Dimensions are swept one
+    slab at a time: with more than one, the running product accumulates
+    them left to right in ``acc`` like ``prod(axis=-1)`` over the full
+    cube.  ``out`` gets the mean over the centres.
+    """
+    multi = len(dims) > 1
+    for j, (lo, hi, c, scale) in enumerate(dims):
+        np.subtract(hi, c, out=z_hi)
+        np.multiply(z_hi, scale, out=z_hi)
+        np.subtract(lo, c, out=z_lo)
+        np.multiply(z_lo, scale, out=z_lo)
+        _cdf_inplace(kernel, name, z_hi, buf)
+        _cdf_inplace(kernel, name, z_lo, buf)
+        np.subtract(z_hi, z_lo, out=z_hi)
+        if multi:
+            if j == 0:
+                acc[...] = z_hi
+            else:
+                np.multiply(acc, z_hi, out=acc)
+    np.mean(acc if multi else z_hi, axis=-1, out=out)
+
+
 def range_batch(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
                 centers: np.ndarray, inv_bw: np.ndarray,
                 out: np.ndarray, block_cells: int) -> None:
@@ -101,53 +132,54 @@ def range_batch(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
         return
     n, d = centers.shape
     name = getattr(kernel, "name", "")
-    if d == 1:
-        lo, hi, c = lows[:, 0], highs[:, 0], centers[:, 0]
-        scale = inv_bw[0]
-        qb = max(1, min(m, block_cells // max(1, n)))
-        z_hi = np.empty((qb, n))
-        z_lo = np.empty((qb, n))
-        buf = np.empty((qb, n))
-        for s in range(0, m, qb):
-            e = min(s + qb, m)
-            k = e - s
-            zh, zl, t = z_hi[:k], z_lo[:k], buf[:k]
-            np.subtract(hi[s:e, None], c[None, :], out=zh)
-            np.multiply(zh, scale, out=zh)
-            np.subtract(lo[s:e, None], c[None, :], out=zl)
-            np.multiply(zl, scale, out=zl)
-            _cdf_inplace(kernel, name, zh, t)
-            _cdf_inplace(kernel, name, zl, t)
-            np.subtract(zh, zl, out=zh)
-            np.mean(zh, axis=1, out=out[s:e])
-        return
-    # d > 1: sweep the dimensions one (qb, n) slab at a time instead of
-    # materialising (qb, n, d) cubes -- every op stays contiguous, and
-    # the running product accumulates dimensions left to right exactly
-    # like ``prod(axis=2)`` over the historical 3-d array.
     qb = max(1, min(m, block_cells // max(1, n)))
     z_hi = np.empty((qb, n))
     z_lo = np.empty((qb, n))
     buf = np.empty((qb, n))
-    acc = np.empty((qb, n))
+    acc = np.empty((qb, n)) if d > 1 else z_hi
     for s in range(0, m, qb):
         e = min(s + qb, m)
         k = e - s
-        zh, zl, t, p = z_hi[:k], z_lo[:k], buf[:k], acc[:k]
-        for j in range(d):
-            c = centers[:, j]
-            np.subtract(highs[s:e, j, None], c[None, :], out=zh)
-            np.multiply(zh, inv_bw[j], out=zh)
-            np.subtract(lows[s:e, j, None], c[None, :], out=zl)
-            np.multiply(zl, inv_bw[j], out=zl)
-            _cdf_inplace(kernel, name, zh, t)
-            _cdf_inplace(kernel, name, zl, t)
-            np.subtract(zh, zl, out=zh)
-            if j == 0:
-                p[...] = zh
-            else:
-                np.multiply(p, zh, out=p)
-        np.mean(p, axis=1, out=out[s:e])
+        dims = [(lows[s:e, j, None], highs[s:e, j, None], centers[None, :, j],
+                 inv_bw[j]) for j in range(d)]
+        _range_block(kernel, name, dims, z_hi[:k], z_lo[:k], buf[:k],
+                     acc[:k], out[s:e])
+
+
+def range_lanes(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
+                centers: np.ndarray, inv_bw: np.ndarray,
+                out: np.ndarray, block_cells: int) -> None:
+    """:func:`range_batch` for ``L`` independent models at once.
+
+    Lane ``l`` scores its ``m`` query boxes ``lows[l]``/``highs[l]``
+    (``(L, m, d)``) against its own centres ``centers[l]`` (``(L, n,
+    d)``) and inverse bandwidths ``inv_bw[l]`` (``(L, d)``) into
+    ``out[l]`` (``(L, m)``), bit-identical to ``range_batch`` on that
+    lane alone.  Blocks span lanes and queries, never centres, so each
+    row's mean is the same pairwise sum over the same ``n`` values.
+    """
+    n_lanes, m, d = lows.shape
+    if n_lanes == 0 or m == 0:
+        return
+    n = centers.shape[1]
+    name = getattr(kernel, "name", "")
+    qb = max(1, min(m, block_cells // max(1, n)))
+    lb = max(1, min(n_lanes, block_cells // max(1, qb * n)))
+    z_hi = np.empty((lb, qb, n))
+    z_lo = np.empty((lb, qb, n))
+    buf = np.empty((lb, qb, n))
+    acc = np.empty((lb, qb, n)) if d > 1 else z_hi
+    for l0 in range(0, n_lanes, lb):
+        l1 = min(l0 + lb, n_lanes)
+        for s in range(0, m, qb):
+            e = min(s + qb, m)
+            lanes, k = l1 - l0, e - s
+            dims = [(lows[l0:l1, s:e, j, None], highs[l0:l1, s:e, j, None],
+                     centers[l0:l1, None, :, j], inv_bw[l0:l1, j, None, None])
+                    for j in range(d)]
+            _range_block(kernel, name, dims, z_hi[:lanes, :k],
+                         z_lo[:lanes, :k], buf[:lanes, :k],
+                         acc[:lanes, :k], out[l0:l1, s:e])
 
 
 def pdf_batch(kernel: Kernel, queries: np.ndarray, centers: np.ndarray,
@@ -177,7 +209,7 @@ def pdf_batch(kernel: Kernel, queries: np.ndarray, centers: np.ndarray,
             t = _profile_inplace(kernel, name, u, t)
             np.sum(t, axis=1, out=out[s:e])
     else:
-        # Same per-dimension slab sweep as range_batch: left-to-right
+        # Same per-dimension slab sweep as _range_block: left-to-right
         # accumulation matches ``prod(axis=2)`` bit for bit.
         qb = max(1, min(m, block_cells // max(1, n)))
         u2 = np.empty((qb, n))

@@ -17,7 +17,8 @@ import numpy as np
 from repro._exceptions import ParameterError
 from repro._validation import require_positive_int
 
-__all__ = ["scott_bandwidths", "silverman_bandwidths", "MIN_BANDWIDTH"]
+__all__ = ["scott_bandwidths", "scott_factor", "silverman_bandwidths",
+           "MIN_BANDWIDTH"]
 
 #: Lower bound applied to every bandwidth.  A window of identical readings
 #: has zero standard deviation; a degenerate zero-width kernel would make
@@ -56,11 +57,20 @@ def scott_bandwidths(stddev: "float | np.ndarray", sample_size: int,
     numpy.ndarray
         Array of shape ``(d,)`` of strictly positive bandwidths.
     """
-    require_positive_int("sample_size", sample_size)
     sigma = _as_stddev_vector(stddev, n_dims)
-    d = sigma.shape[0]
-    factor = np.sqrt(5.0) * sample_size ** (-1.0 / (d + 4))
+    factor = scott_factor(sample_size, sigma.shape[0])
     return np.maximum(sigma * factor, MIN_BANDWIDTH)
+
+
+def scott_factor(sample_size: int, n_dims: int) -> float:
+    """Scott's multiplier ``sqrt(5) * |R|^(-1/(d+4))`` on the deviation.
+
+    :func:`scott_bandwidths` is ``max(sigma * scott_factor(...),
+    MIN_BANDWIDTH)``; callers that hold many deviation vectors (the
+    lockstep engine) apply it to all of them at once.
+    """
+    require_positive_int("sample_size", sample_size)
+    return float(np.sqrt(5.0) * sample_size ** (-1.0 / (n_dims + 4)))
 
 
 def silverman_bandwidths(stddev: "float | np.ndarray", sample_size: int,

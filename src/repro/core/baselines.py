@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro._exceptions import ParameterError
 from repro._validation import as_points
@@ -48,6 +47,9 @@ def chebyshev_neighbor_counts(values: np.ndarray, queries: np.ndarray,
     qs = as_points("queries", queries, n_dims=vals.shape[1])
     if not np.isfinite(radius) or radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius!r}")
+    # Imported here: only ground truth needs scipy.spatial, so the
+    # detection path does not pay its import time and memory.
+    from scipy.spatial import cKDTree
     tree = cKDTree(vals)
     return np.asarray(
         tree.query_ball_point(qs, r=radius, p=np.inf, return_length=True),

@@ -34,6 +34,7 @@ Three evaluation strategies are implemented:
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from repro.core.bandwidth import scott_bandwidths
 from repro.core.indexes import SortedSampleIndex
 from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
 
-__all__ = ["KernelDensityEstimator", "merge_estimators"]
+__all__ = ["EstimatorLayout", "KernelDensityEstimator", "merge_estimators"]
 
 
 # repro-lint: shard-state
@@ -465,13 +466,12 @@ class KernelDensityEstimator:
         from the sample on demand, so dropping them cannot change any
         restored query result.
         """
-        return {
-            "sample": self._sample.copy(),
-            "bandwidths": self._bandwidths.copy(),
-            "stddev": None if self._stddev is None else self._stddev.copy(),
-            "kernel": self._kernel.name,
-            "window_size": self._window_size,
-        }
+        return EstimatorLayout(
+            sample=self._sample.copy(),
+            bandwidths=self._bandwidths.copy(),
+            stddev=None if self._stddev is None else self._stddev.copy(),
+            kernel=self._kernel.name,
+            window_size=self._window_size).to_state()
 
     @classmethod
     def restore_state(cls, state: "dict[str, Any]") -> "KernelDensityEstimator":
@@ -481,14 +481,44 @@ class KernelDensityEstimator:
         bandwidth rule is re-run), then reinstates the recorded window
         deviation, which explicit-bandwidth construction does not thread.
         """
-        stddev = state["stddev"]
-        model = cls(np.asarray(state["sample"], dtype=float),
-                    bandwidths=np.asarray(state["bandwidths"], dtype=float),
-                    kernel=kernel_by_name(str(state["kernel"])),
-                    window_size=int(state["window_size"]))
-        model._stddev = None if stddev is None \
-            else np.asarray(stddev, dtype=float).copy()
+        layout = EstimatorLayout.from_state(state)
+        model = cls(layout.sample, bandwidths=layout.bandwidths,
+                    kernel=kernel_by_name(layout.kernel),
+                    window_size=layout.window_size)
+        model._stddev = layout.stddev
         return model
+
+
+@dataclass(frozen=True)
+class EstimatorLayout:
+    """The checkpoint layout of one kernel model, as plain fields.
+
+    :meth:`KernelDensityEstimator.snapshot_state` writes it and
+    :meth:`KernelDensityEstimator.restore_state` reads it; so does the
+    lockstep engine for its per-lane models, which therefore share one
+    format with the per-stream detectors.
+    """
+
+    sample: np.ndarray
+    bandwidths: np.ndarray
+    stddev: "np.ndarray | None"
+    kernel: str
+    window_size: int
+
+    def to_state(self) -> "dict[str, Any]":
+        """The snapshot dict: one key per field, in field order."""
+        return dict(vars(self))
+
+    @classmethod
+    def from_state(cls, state: "dict[str, Any]") -> "EstimatorLayout":
+        """Read (and type) the fields of a snapshot dict."""
+        stddev = state["stddev"]
+        return cls(sample=np.asarray(state["sample"], dtype=float),
+                   bandwidths=np.asarray(state["bandwidths"], dtype=float),
+                   stddev=None if stddev is None
+                   else np.asarray(stddev, dtype=float).copy(),
+                   kernel=str(state["kernel"]),
+                   window_size=int(state["window_size"]))
 
 
 def merge_estimators(estimators: Iterable[KernelDensityEstimator], *,

@@ -10,19 +10,29 @@ This module factors that trio out of the algorithm classes.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro import obs
 from repro._exceptions import ParameterError
-from repro.core.bandwidth import scott_bandwidths
+from repro.core.bandwidth import MIN_BANDWIDTH, scott_factor
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
 from repro.streams.sampling import ChainSample
 from repro.streams.variance import MultiDimVarianceSketch
 
-__all__ = ["StreamModelState", "ChildStalenessTracker"]
+__all__ = [
+    "StreamModelState",
+    "StreamModelLayout",
+    "ChildStalenessTracker",
+    "check_model_args",
+    "default_min_arrivals",
+    "model_bandwidths",
+    "needs_rebuild",
+    "next_check_in",
+]
 
 #: Check whether the cached kernel model is stale at most once per this
 #: many arrivals (callers may override).  A due check rebuilds only when
@@ -35,6 +45,143 @@ DEFAULT_MODEL_REFRESH = 16
 #: when no sample slot changed (Scott bandwidths scale linearly with the
 #: deviation, so this bounds the bandwidth staleness of a reused model).
 DEFAULT_BANDWIDTH_TOL = 0.05
+
+
+# The model policy below is shared by StreamModelState and the lockstep
+# DetectorEngine, which applies it to all of its lanes at once.
+
+def check_model_args(model_refresh: int, bandwidth_tol: float,
+                     bandwidth_cap: "float | None",
+                     bandwidth_basis: str) -> None:
+    """Validate the model-refresh and bandwidth settings of a stream."""
+    if model_refresh < 1:
+        raise ParameterError(f"model_refresh must be >= 1, got {model_refresh}")
+    if bandwidth_tol < 0:
+        raise ParameterError(
+            f"bandwidth_tol must be >= 0, got {bandwidth_tol!r}")
+    if bandwidth_cap is not None and bandwidth_cap <= 0:
+        raise ParameterError(
+            f"bandwidth_cap must be positive, got {bandwidth_cap!r}")
+    if bandwidth_basis not in ("window", "sample"):
+        raise ParameterError(
+            f"bandwidth_basis must be 'window' or 'sample', "
+            f"got {bandwidth_basis!r}")
+
+
+def default_min_arrivals(sample_size: int) -> int:
+    """Arrivals before a stream's first model when the caller sets none."""
+    return max(2, sample_size // 8)
+
+
+def next_check_in(has_model: bool, arrivals: int, last_check: int,
+                  min_arrivals: int, model_refresh: int) -> int:
+    """Arrivals until a model check may rebuild (>= 1).
+
+    See :meth:`StreamModelState.arrivals_until_check`.
+    """
+    if not has_model:
+        return max(1, min_arrivals - arrivals)
+    return max(1, model_refresh - (arrivals - last_check))
+
+
+def needs_rebuild(std: np.ndarray, built_std: np.ndarray,
+                  mutations: "int | np.ndarray",
+                  built_mutations: "int | np.ndarray",
+                  window_size: "int | np.ndarray",
+                  built_window_size: "int | np.ndarray",
+                  bandwidth_tol: float) -> "bool | np.ndarray":
+    """The due-check staleness test of a cached model.
+
+    Used by :meth:`StreamModelState.model` and the lockstep engine.
+    Stale when the chain sample mutated, the count window changed, or
+    the sketched deviation left ``np.allclose(std, built_std,
+    rtol=bandwidth_tol, atol=1e-12)``.  Takes one model's ``(d,)``
+    deviations and scalar fingerprints, or ``(L, d)`` and ``(L,)``
+    arrays for ``L`` lanes.
+    """
+    drifted = ~(np.abs(std - built_std)
+                <= 1e-12 + bandwidth_tol * np.abs(built_std)).all(axis=-1)
+    return ((mutations != built_mutations)
+            | (window_size != built_window_size) | drifted)
+
+
+def model_bandwidths(std: np.ndarray, n_centres: int, window_size: int,
+                     bandwidth_basis: str,
+                     bandwidth_cap: "float | None") -> np.ndarray:
+    """Scott bandwidths of a model over ``n_centres`` kernel centres.
+
+    ``bandwidth_basis`` picks the ``n`` in Scott's rule (``"window"``:
+    the larger of ``n_centres`` and the count window; ``"sample"``:
+    ``n_centres``); ``bandwidth_cap`` bounds the result.  ``std`` is one
+    deviation vector ``(d,)`` or one per lane ``(L, d)``; either way the
+    values equal :func:`~repro.core.bandwidth.scott_bandwidths` of each.
+    """
+    if not np.isfinite(std).all() or (std < 0).any():
+        raise ParameterError("stddev entries must be finite and non-negative")
+    n_basis = max(n_centres, window_size) if bandwidth_basis == "window" \
+        else n_centres
+    bandwidths = np.maximum(std * scott_factor(n_basis, std.shape[-1]),
+                            MIN_BANDWIDTH)
+    if bandwidth_cap is not None:
+        bandwidths = np.minimum(bandwidths, bandwidth_cap)
+    return bandwidths
+
+
+@dataclass(frozen=True)
+class StreamModelLayout:
+    """The checkpoint layout of one :class:`StreamModelState`, as plain fields.
+
+    Both :meth:`StreamModelState.snapshot_state` and the lockstep
+    engine's per-lane snapshot write it; both restores read it, so the
+    two share one format (``sample``, ``sketch`` and ``cached`` stay the
+    nested snapshot dicts of their components).
+    """
+
+    bandwidth_basis: str
+    sample: "dict[str, Any]"
+    sketch: "dict[str, Any]"
+    kernel: str
+    bandwidth_cap: "float | None"
+    model_refresh: int
+    bandwidth_tol: float
+    min_arrivals: int
+    arrivals: int
+    last_check: int
+    cached: "dict[str, Any] | None"
+    built_std: "np.ndarray | None"
+    built_window_size: int
+    built_mutations: int
+    model_seq: int
+    count_window_size: int
+
+    def to_state(self) -> "dict[str, Any]":
+        """The snapshot dict: one key per field, in field order."""
+        return dict(vars(self))
+
+    @classmethod
+    def from_state(cls, state: "dict[str, Any]") -> "StreamModelLayout":
+        """Read (and type) the fields of a snapshot dict."""
+        cap = state["bandwidth_cap"]
+        built_std = state["built_std"]
+        return cls(
+            bandwidth_basis=str(state["bandwidth_basis"]),
+            sample=state["sample"],
+            sketch=state["sketch"],
+            kernel=str(state["kernel"]),
+            bandwidth_cap=None if cap is None else float(cap),
+            model_refresh=int(state["model_refresh"]),
+            bandwidth_tol=float(state["bandwidth_tol"]),
+            min_arrivals=int(state["min_arrivals"]),
+            arrivals=int(state["arrivals"]),
+            last_check=int(state["last_check"]),
+            cached=state["cached"],
+            built_std=None if built_std is None
+            else np.asarray(built_std, dtype=float).copy(),
+            built_window_size=int(state["built_window_size"]),
+            built_mutations=int(state["built_mutations"]),
+            # Pre-lineage snapshots lack the rebuild counter; restart at 0.
+            model_seq=int(state.get("model_seq", 0)),
+            count_window_size=int(state["count_window_size"]))
 
 
 # repro-lint: shard-state
@@ -84,18 +231,8 @@ class StreamModelState:
                  bandwidth_cap: "float | None" = None,
                  bandwidth_basis: str = "window",
                  rng: np.random.Generator | None = None) -> None:
-        if model_refresh < 1:
-            raise ParameterError(f"model_refresh must be >= 1, got {model_refresh}")
-        if bandwidth_tol < 0:
-            raise ParameterError(
-                f"bandwidth_tol must be >= 0, got {bandwidth_tol!r}")
-        if bandwidth_cap is not None and bandwidth_cap <= 0:
-            raise ParameterError(
-                f"bandwidth_cap must be positive, got {bandwidth_cap!r}")
-        if bandwidth_basis not in ("window", "sample"):
-            raise ParameterError(
-                f"bandwidth_basis must be 'window' or 'sample', "
-                f"got {bandwidth_basis!r}")
+        check_model_args(model_refresh, bandwidth_tol, bandwidth_cap,
+                         bandwidth_basis)
         self._bandwidth_basis = bandwidth_basis
         self._sample = ChainSample(arrival_window, sample_size, n_dims, rng=rng)
         self._sketch = MultiDimVarianceSketch(arrival_window, n_dims, epsilon)
@@ -104,7 +241,7 @@ class StreamModelState:
         self._model_refresh = model_refresh
         self._bandwidth_tol = bandwidth_tol
         if min_arrivals is None:
-            min_arrivals = max(2, sample_size // 8)
+            min_arrivals = default_min_arrivals(sample_size)
         self._min_arrivals = min_arrivals
         self._arrivals = 0
         self._last_check = -1
@@ -183,9 +320,9 @@ class StreamModelState:
         against the current cache -- reproducing the one-at-a-time
         schedule exactly.
         """
-        if self._cached is None:
-            return max(1, self._min_arrivals - self._arrivals)
-        return max(1, self._model_refresh - (self._arrivals - self._last_check))
+        return next_check_in(self._cached is not None, self._arrivals,
+                             self._last_check, self._min_arrivals,
+                             self._model_refresh)
 
     def model(self) -> "KernelDensityEstimator | None":
         """The current kernel model, or None before ``min_arrivals``.
@@ -210,19 +347,16 @@ class StreamModelState:
         std = self._sketch.std()
         window_size = max(1, int(self.count_window_size))
         if (self._cached is not None
-                and self._sample.mutation_count == self._built_mutations
-                and window_size == self._built_window_size
-                and np.allclose(std, self._built_std,
-                                rtol=self._bandwidth_tol, atol=1e-12)):
+                and not needs_rebuild(std, self._built_std,
+                                      self._sample.mutation_count,
+                                      self._built_mutations, window_size,
+                                      self._built_window_size,
+                                      self._bandwidth_tol)):
             return self._cached
         sample = self._sample.values()
-        if self._bandwidth_basis == "window":
-            n_basis = max(sample.shape[0], window_size)
-        else:
-            n_basis = sample.shape[0]
-        bandwidths = scott_bandwidths(std, n_basis, sample.shape[1])
-        if self._bandwidth_cap is not None:
-            bandwidths = np.minimum(bandwidths, self._bandwidth_cap)
+        bandwidths = model_bandwidths(std, sample.shape[0], window_size,
+                                      self._bandwidth_basis,
+                                      self._bandwidth_cap)
         if obs.ACTIVE:
             # finally: a constructor that raises must still charge the
             # rebuild phase, or the profile shows 0 ns for failed builds.
@@ -262,54 +396,49 @@ class StreamModelState:
         would not have run nor skip one it would, or the estimator cache
         schedule (and hence the detections) could diverge.
         """
-        return {
-            "bandwidth_basis": self._bandwidth_basis,
-            "sample": self._sample.snapshot_state(),
-            "sketch": self._sketch.snapshot_state(),
-            "kernel": self._kernel.name,
-            "bandwidth_cap": self._bandwidth_cap,
-            "model_refresh": self._model_refresh,
-            "bandwidth_tol": self._bandwidth_tol,
-            "min_arrivals": self._min_arrivals,
-            "arrivals": self._arrivals,
-            "last_check": self._last_check,
-            "cached": None if self._cached is None
+        return StreamModelLayout(
+            bandwidth_basis=self._bandwidth_basis,
+            sample=self._sample.snapshot_state(),
+            sketch=self._sketch.snapshot_state(),
+            kernel=self._kernel.name,
+            bandwidth_cap=self._bandwidth_cap,
+            model_refresh=self._model_refresh,
+            bandwidth_tol=self._bandwidth_tol,
+            min_arrivals=self._min_arrivals,
+            arrivals=self._arrivals,
+            last_check=self._last_check,
+            cached=None if self._cached is None
             else self._cached.snapshot_state(),
-            "built_std": None if self._built_std is None
+            built_std=None if self._built_std is None
             else self._built_std.copy(),
-            "built_window_size": self._built_window_size,
-            "built_mutations": self._built_mutations,
-            "model_seq": self._model_seq,
-            "count_window_size": self.count_window_size,
-        }
+            built_window_size=self._built_window_size,
+            built_mutations=self._built_mutations,
+            model_seq=self._model_seq,
+            count_window_size=self.count_window_size).to_state()
 
     @classmethod
     def restore_state(cls, state: "dict[str, Any]") -> "StreamModelState":
         """Rebuild the state trio from a :meth:`snapshot_state` dict."""
+        layout = StreamModelLayout.from_state(state)
         model_state = cls.__new__(cls)
-        model_state._bandwidth_basis = str(state["bandwidth_basis"])
-        model_state._sample = ChainSample.restore_state(state["sample"])
+        model_state._bandwidth_basis = layout.bandwidth_basis
+        model_state._sample = ChainSample.restore_state(layout.sample)
         model_state._sketch = \
-            MultiDimVarianceSketch.restore_state(state["sketch"])
-        model_state._kernel = kernel_by_name(str(state["kernel"]))
-        cap = state["bandwidth_cap"]
-        model_state._bandwidth_cap = None if cap is None else float(cap)
-        model_state._model_refresh = int(state["model_refresh"])
-        model_state._bandwidth_tol = float(state["bandwidth_tol"])
-        model_state._min_arrivals = int(state["min_arrivals"])
-        model_state._arrivals = int(state["arrivals"])
-        model_state._last_check = int(state["last_check"])
-        cached = state["cached"]
-        model_state._cached = None if cached is None \
-            else KernelDensityEstimator.restore_state(cached)
-        built_std = state["built_std"]
-        model_state._built_std = None if built_std is None \
-            else np.asarray(built_std, dtype=float).copy()
-        model_state._built_window_size = int(state["built_window_size"])
-        model_state._built_mutations = int(state["built_mutations"])
-        # Pre-lineage snapshots lack the rebuild counter; restart at 0.
-        model_state._model_seq = int(state.get("model_seq", 0))
-        model_state.count_window_size = int(state["count_window_size"])
+            MultiDimVarianceSketch.restore_state(layout.sketch)
+        model_state._kernel = kernel_by_name(layout.kernel)
+        model_state._bandwidth_cap = layout.bandwidth_cap
+        model_state._model_refresh = layout.model_refresh
+        model_state._bandwidth_tol = layout.bandwidth_tol
+        model_state._min_arrivals = layout.min_arrivals
+        model_state._arrivals = layout.arrivals
+        model_state._last_check = layout.last_check
+        model_state._cached = None if layout.cached is None \
+            else KernelDensityEstimator.restore_state(layout.cached)
+        model_state._built_std = layout.built_std
+        model_state._built_window_size = layout.built_window_size
+        model_state._built_mutations = layout.built_mutations
+        model_state._model_seq = layout.model_seq
+        model_state.count_window_size = layout.count_window_size
         return model_state
 
 

@@ -31,7 +31,7 @@ counter (see :meth:`repro.detectors._state.StreamModelState.model`).
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -48,7 +48,88 @@ from repro.core.outliers import (
 )
 from repro.detectors._state import StreamModelState
 
-__all__ = ["OnlineOutlierDetector"]
+__all__ = [
+    "OnlineOutlierDetector",
+    "DetectorLayout",
+    "check_detector_args",
+    "spec_bandwidth_cap",
+]
+
+
+# The per-stream policy below is shared with the lockstep DetectorEngine,
+# every lane of which behaves exactly like one OnlineOutlierDetector.
+
+def check_detector_args(window_size: int, sample_size: int,
+                        spec: "DistanceOutlierSpec | MDEFSpec",
+                        warmup: "int | None") -> int:
+    """Validate a detector's window, sample and spec; return its warm-up.
+
+    ``warmup`` defaults to one window.
+    """
+    require_positive_int("window_size", window_size)
+    require_positive_int("sample_size", sample_size)
+    if sample_size > window_size:
+        raise ParameterError("sample_size cannot exceed window_size")
+    if not isinstance(spec, (DistanceOutlierSpec, MDEFSpec)):
+        raise ParameterError(
+            "spec must be a DistanceOutlierSpec or an MDEFSpec, "
+            f"got {type(spec).__name__}")
+    if warmup is None:
+        return window_size
+    if warmup < 0:
+        raise ParameterError(f"warmup must be >= 0, got {warmup}")
+    return warmup
+
+
+def spec_bandwidth_cap(spec: "DistanceOutlierSpec | MDEFSpec") -> "float | None":
+    """The bandwidth cap a spec's test needs, if any.
+
+    MDEF probes density contrast at the counting-radius scale, so its
+    bandwidth is capped there (see ``MGDDConfig.bandwidth_cap``).
+    """
+    return 2.0 * spec.counting_radius if isinstance(spec, MDEFSpec) else None
+
+
+@dataclass(frozen=True)
+class DetectorLayout:
+    """The checkpoint layout of one :class:`OnlineOutlierDetector`.
+
+    Written by :meth:`OnlineOutlierDetector.snapshot_state` and by the
+    lockstep engine for each lane, and read by both restores.  The spec
+    travels as a tagged field dict so the codec payload stays plain data
+    (no pickled spec classes); ``state`` is the
+    :class:`~repro.detectors._state.StreamModelLayout` dict.
+    """
+
+    spec: "DistanceOutlierSpec | MDEFSpec"
+    warmup: int
+    window_size: int
+    state: "dict[str, Any]"
+    seen: int
+    flagged: int
+
+    def to_state(self) -> "dict[str, Any]":
+        """The snapshot dict: one key per field, in field order."""
+        kind = "distance" if isinstance(self.spec, DistanceOutlierSpec) \
+            else "mdef"
+        return {**vars(self), "spec": {"kind": kind, **asdict(self.spec)}}
+
+    @classmethod
+    def from_state(cls, state: "dict[str, Any]") -> "DetectorLayout":
+        """Read (and type) the fields of a snapshot dict."""
+        spec_state = dict(state["spec"])
+        kind = spec_state.pop("kind")
+        if kind == "distance":
+            spec: "DistanceOutlierSpec | MDEFSpec" = \
+                DistanceOutlierSpec(**spec_state)
+        elif kind == "mdef":
+            spec = MDEFSpec(**spec_state)
+        else:
+            raise SnapshotError(f"unknown outlier-spec kind {kind!r}")
+        return cls(spec=spec, warmup=int(state["warmup"]),
+                   window_size=int(state["window_size"]),
+                   state=state["state"], seen=int(state["seen"]),
+                   flagged=int(state["flagged"]))
 
 
 # repro-lint: shard-state
@@ -76,29 +157,15 @@ class OnlineOutlierDetector:
                  kernel: Kernel = EPANECHNIKOV,
                  bandwidth_basis: str = "window",
                  rng: np.random.Generator | None = None) -> None:
-        require_positive_int("window_size", window_size)
-        require_positive_int("sample_size", sample_size)
-        if sample_size > window_size:
-            raise ParameterError("sample_size cannot exceed window_size")
-        if not isinstance(spec, (DistanceOutlierSpec, MDEFSpec)):
-            raise ParameterError(
-                "spec must be a DistanceOutlierSpec or an MDEFSpec, "
-                f"got {type(spec).__name__}")
-        if warmup is None:
-            warmup = window_size
-        elif warmup < 0:
-            raise ParameterError(f"warmup must be >= 0, got {warmup}")
+        self._warmup = check_detector_args(window_size, sample_size, spec,
+                                           warmup)
         self._spec = spec
-        self._warmup = warmup
         self._window_size = window_size
-        # MDEF probes density contrast at the counting-radius scale, so
-        # cap the bandwidth there (see MGDDConfig.bandwidth_cap).
-        cap = 2.0 * spec.counting_radius if isinstance(spec, MDEFSpec) \
-            else None
         self._state = StreamModelState(
             window_size, sample_size, n_dims, epsilon=epsilon,
             model_refresh=model_refresh, kernel=kernel,
-            bandwidth_cap=cap, bandwidth_basis=bandwidth_basis, rng=rng)
+            bandwidth_cap=spec_bandwidth_cap(spec),
+            bandwidth_basis=bandwidth_basis, rng=rng)
         self._seen = 0
         self._flagged = 0
 
@@ -247,39 +314,22 @@ class OnlineOutlierDetector:
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> "dict[str, Any]":
-        """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
-
-        The spec travels as a tagged field dict so the codec payload
-        stays plain data (no pickled spec classes).
-        """
-        kind = "distance" if isinstance(self._spec, DistanceOutlierSpec) \
-            else "mdef"
-        return {
-            "spec": {"kind": kind, **asdict(self._spec)},
-            "warmup": self._warmup,
-            "window_size": self._window_size,
-            "state": self._state.snapshot_state(),
-            "seen": self._seen,
-            "flagged": self._flagged,
-        }
+        """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec."""
+        return DetectorLayout(
+            spec=self._spec, warmup=self._warmup,
+            window_size=self._window_size,
+            state=self._state.snapshot_state(), seen=self._seen,
+            flagged=self._flagged).to_state()
 
     @classmethod
     def restore_state(cls, state: "dict[str, Any]") -> "OnlineOutlierDetector":
         """Rebuild a detector from a :meth:`snapshot_state` dict."""
-        spec_state = dict(state["spec"])
-        kind = spec_state.pop("kind")
-        if kind == "distance":
-            spec: "DistanceOutlierSpec | MDEFSpec" = \
-                DistanceOutlierSpec(**spec_state)
-        elif kind == "mdef":
-            spec = MDEFSpec(**spec_state)
-        else:
-            raise SnapshotError(f"unknown outlier-spec kind {kind!r}")
+        layout = DetectorLayout.from_state(state)
         detector = cls.__new__(cls)
-        detector._spec = spec
-        detector._warmup = int(state["warmup"])
-        detector._window_size = int(state["window_size"])
-        detector._state = StreamModelState.restore_state(state["state"])
-        detector._seen = int(state["seen"])
-        detector._flagged = int(state["flagged"])
+        detector._spec = layout.spec
+        detector._warmup = layout.warmup
+        detector._window_size = layout.window_size
+        detector._state = StreamModelState.restore_state(layout.state)
+        detector._seen = layout.seen
+        detector._flagged = layout.flagged
         return detector

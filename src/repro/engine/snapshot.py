@@ -50,8 +50,9 @@ from repro.engine.core import DetectorEngine
 from repro.obs.health import HealthThresholds, ModelHealth
 from repro.streams.moments import EHMomentsSketch
 from repro.streams.quantiles import GKQuantileSummary
-from repro.streams.sampling import ChainSample, ReservoirSample
+from repro.streams.sampling import ChainSample, ChainSampleBank, ReservoirSample
 from repro.streams.variance import (
+    EHVarianceBank,
     EHVarianceSketch,
     ExactWindowedVariance,
     MultiDimVarianceSketch,
@@ -82,9 +83,11 @@ _HEADER = struct.Struct(">4sHQ32s")
 #: the tree must appear here.
 REGISTERED_CLASSES: "tuple[type, ...]" = (
     ChainSample,
+    ChainSampleBank,
     ReservoirSample,
     SlidingWindow,
     EHVarianceSketch,
+    EHVarianceBank,
     MultiDimVarianceSketch,
     ExactWindowedVariance,
     EHMomentsSketch,

@@ -42,11 +42,31 @@ from typing import Any, Deque, Sequence, Tuple
 import numpy as np
 
 from repro import _sanitize, obs
-from repro._exceptions import ParameterError
+from repro._exceptions import ParameterError, SnapshotError
 from repro._rng import resolve_rng, rng_from_state, rng_state
 from repro._validation import require_positive_int
 
-__all__ = ["ChainSample", "ReservoirSample"]
+__all__ = ["ChainSample", "ChainSampleBank", "ReservoirSample"]
+
+
+def _spawn_successor_rngs(rng: np.random.Generator,
+                          sample_size: int) -> "list[np.random.Generator]":
+    """The per-slot successor substreams of a sample drawing from ``rng``.
+
+    Successor timestamps come from per-slot substreams so that the
+    batched and one-at-a-time ingestion paths consume each slot's
+    stream in the same order (see the module docstring).  Spawning
+    derives the substreams from the generator's SeedSequence without
+    advancing its bitstream, so construction leaves the caller's
+    generator untouched.  The first spawned child is reserved for the
+    sample itself (slot substreams keep their identity if a per-sample
+    stream is ever claimed).
+    """
+    try:
+        return list(rng.spawn(sample_size + 1)[1:])
+    except (AttributeError, TypeError):
+        seeds = rng.integers(0, 2**63, size=sample_size + 1)[1:]
+        return [np.random.default_rng(int(seed)) for seed in seeds]
 
 
 @dataclass
@@ -87,20 +107,7 @@ class ChainSample:
         self._sample_size = sample_size
         self._n_dims = n_dims
         self._rng = resolve_rng(rng)
-        # Successor timestamps come from per-slot substreams so that the
-        # batched and one-at-a-time ingestion paths consume each slot's
-        # stream in the same order (see the module docstring).  Spawning
-        # derives the substreams from the generator's SeedSequence
-        # without advancing its bitstream, so construction leaves the
-        # caller's generator untouched.  The first spawned child is
-        # reserved for the sample itself (slot substreams keep their
-        # identity if a per-sample stream is ever claimed).
-        try:
-            self._successor_rngs = self._rng.spawn(sample_size + 1)[1:]
-        except (AttributeError, TypeError):
-            seeds = self._rng.integers(0, 2**63, size=sample_size + 1)[1:]
-            self._successor_rngs = [np.random.default_rng(int(seed))
-                                    for seed in seeds]
+        self._successor_rngs = _spawn_successor_rngs(self._rng, sample_size)
         self._chains = [_Chain() for _ in range(sample_size)]
         self._timestamp = -1   # timestamp of the latest offered value
         self._mutations = 0    # active-element changes (see mutation_count)
@@ -478,6 +485,329 @@ class ChainSample:
         sample._mutations = int(state["mutations"])
         sample._evictions = int(state["evictions"])
         return sample
+
+
+#: ``head_ts`` of a :class:`ChainSampleBank` slot with no active element.
+_EMPTY = np.iinfo(np.int64).max
+
+
+# repro-lint: shard-state
+class ChainSampleBank:
+    """The chain samples of ``L`` streams ("lanes") advanced in lockstep.
+
+    Lane ``l`` behaves exactly like a :class:`ChainSample` built on
+    ``rngs[l]`` and fed the lane's column through
+    :meth:`ChainSample.offer_many`: same chains, successor timestamps,
+    mutation and eviction counts and generator states, bit for bit.  The
+    per-stream class stays the reference, and the implementation for a
+    single stream, where its list code beats one-lane numpy.
+
+    Layout: the active element of every (lane, slot) is mirrored into
+    ``(L, |R|)`` timestamp and ``(L, |R|, d)`` value arrays, so window
+    expiry and model building are array operations.  The chains
+    themselves (active element plus queued successors) stay one deque
+    per slot, touched only by the rare slot events.
+    """
+
+    def __init__(self, window_size: int, sample_size: int, n_dims: int,
+                 rngs: "Sequence[np.random.Generator]") -> None:
+        require_positive_int("window_size", window_size)
+        require_positive_int("sample_size", sample_size)
+        require_positive_int("n_dims", n_dims)
+        require_positive_int("n_lanes", len(rngs))
+        self._window_size = window_size
+        self._sample_size = sample_size
+        self._n_dims = n_dims
+        self._rngs = list(rngs)
+        self._successor_rngs = [
+            g for rng in self._rngs
+            for g in _spawn_successor_rngs(rng, sample_size)]
+        n_lanes = len(self._rngs)
+        self._chains: "list[Deque[Tuple[int, np.ndarray]]]" = [
+            deque() for _ in range(n_lanes * sample_size)]
+        self._head_ts = np.full((n_lanes, sample_size), _EMPTY,
+                                dtype=np.int64)
+        self._head_val = np.zeros((n_lanes, sample_size, n_dims))
+        self._successor_ts = np.full((n_lanes, sample_size), -1,
+                                     dtype=np.int64)
+        self._timestamp = -1
+        self._mutations = np.zeros(n_lanes, dtype=np.int64)
+        self._evictions = np.zeros(n_lanes, dtype=np.int64)
+
+    # ------------------------------------------------------------------
+
+    @property
+    def n_lanes(self) -> int:
+        """Number of lanes (streams)."""
+        return len(self._rngs)
+
+    @property
+    def mutation_counts(self) -> np.ndarray:
+        """Per-lane :attr:`ChainSample.mutation_count`, shape ``(L,)``."""
+        return self._mutations.copy()
+
+    def active(self) -> np.ndarray:
+        """``(L, |R|)`` mask of the slots holding an active element."""
+        return self._head_ts != _EMPTY
+
+    def heads(self) -> np.ndarray:
+        """Active-element values, ``(L, |R|, d)`` (a copy).
+
+        Slots without an active element hold stale values; mask them
+        with :meth:`active`.
+        """
+        return self._head_val.copy()
+
+    def memory_words(self) -> np.ndarray:
+        """Per-lane :meth:`ChainSample.memory_words`, shape ``(L,)``."""
+        lengths = np.fromiter((len(items) for items in self._chains),
+                              dtype=np.int64, count=len(self._chains))
+        stored = lengths.reshape(self.n_lanes, self._sample_size).sum(axis=1)
+        return stored * (self._n_dims + 1) + self._sample_size
+
+    # ------------------------------------------------------------------
+
+    def offer_many(self, values: np.ndarray, block_cells: int) -> None:
+        """Offer ``k`` consecutive arrivals to every lane.
+
+        ``values`` has shape ``(k, L, d)``: row ``i`` holds each lane's
+        arrival at timestamp ``timestamp + 1 + i``.  The acceptance
+        draws are one ``rng.random((k, |R|))`` per lane, taken for at
+        most ``block_cells`` (lane, arrival, slot) cells at a time.  The
+        event walk then visits only the (lane, slot) pairs with an
+        acceptance or a successor falling due.
+        """
+        if values.ndim != 3 or values.shape[1:] != (self.n_lanes,
+                                                    self._n_dims):
+            raise ParameterError(
+                f"values must have shape (k, {self.n_lanes}, "
+                f"{self._n_dims}), got {values.shape}")
+        k = values.shape[0]
+        if k == 0:
+            return
+        t0 = time.perf_counter() if obs.ACTIVE else 0.0
+        mutations_before = self._mutations.copy()
+        evictions_before = self._evictions.copy()
+        n_lanes, n_slots = self.n_lanes, self._sample_size
+        ts0 = self._timestamp + 1
+        inclusion = 1.0 / np.minimum(np.arange(ts0, ts0 + k) + 1,
+                                     self._window_size)
+        lane_block = max(1, min(n_lanes, block_cells // (k * n_slots)))
+        draws = np.empty((lane_block, k, n_slots))
+        for lo in range(0, n_lanes, lane_block):
+            hi = min(lo + lane_block, n_lanes)
+            block = draws[:hi - lo]
+            for lane in range(lo, hi):
+                self._rngs[lane].random(out=block[lane - lo])
+            self._walk(values, ts0, lo, hi, block < inclusion[None, :, None])
+        self._timestamp = ts0 + k - 1
+        self._expire(self._timestamp - self._window_size)
+        if obs.ACTIVE:
+            obs.profiler().record("chain.offer_many",
+                                  time.perf_counter() - t0)
+            d_mut = int((self._mutations - mutations_before).sum())
+            d_evict = self._evictions - evictions_before
+            if d_mut:
+                obs.metrics().counter("sample.mutations").inc(d_mut)
+            if d_evict.any():
+                obs.metrics().counter("sample.evictions").inc(
+                    int(d_evict.sum()))
+                # One event per lane that evicted, as the per-stream
+                # path emits one per sample and call.
+                for count in d_evict[d_evict > 0].tolist():
+                    obs.emit("sample.evict", count=count,
+                             timestamp=self._timestamp)
+
+    def _walk(self, values: np.ndarray, ts0: int, lo: int, hi: int,
+              hits: np.ndarray) -> None:
+        """Slot events of lanes ``lo:hi``; ``hits`` is ``(hi - lo, k, |R|)``.
+
+        The per-pair loop transcribes :meth:`ChainSample.offer_many`.
+        """
+        n_slots = self._sample_size
+        window = self._window_size
+        ts_end = ts0 + hits.shape[1] - 1
+        # Acceptances as (lane, slot, row) triples, sorted in that order.
+        hit_lane, hit_slot, hit_row = np.nonzero(hits.transpose(0, 2, 1))
+        per_pair = np.bincount(hit_lane * n_slots + hit_slot,
+                               minlength=(hi - lo) * n_slots)
+        bounds = np.concatenate(([0], np.cumsum(per_pair))).tolist()
+        successor_ts = self._successor_ts[lo:hi]
+        due = (successor_ts >= ts0) & (successor_ts <= ts_end)
+        pairs = np.nonzero((per_pair > 0) | due.reshape(-1))[0].tolist()
+        if not pairs:
+            return
+        rows_all = hit_row.tolist()
+        successors = successor_ts.reshape(-1).tolist()
+        mutations = [0] * (hi - lo)
+        evictions = [0] * (hi - lo)
+        touched_lanes: "list[int]" = []
+        touched_slots: "list[int]" = []
+        touched_succ: "list[int]" = []
+        for key in pairs:
+            rel, slot = divmod(key, n_slots)
+            lane = lo + rel
+            items = self._chains[lane * n_slots + slot]
+            rng = self._successor_rngs[lane * n_slots + slot]
+            rows = rows_all[bounds[key]:bounds[key + 1]]
+            succ_ts = successors[key]
+            pos, n_rows = 0, len(rows)
+            cursor = ts0 - 1      # latest timestamp already handled
+            mut = evict = 0
+            while True:
+                acc_ts = ts0 + rows[pos] if pos < n_rows else None
+                if (cursor < succ_ts <= ts_end
+                        and (acc_ts is None or succ_ts < acc_ts)):
+                    horizon = succ_ts - 1 - window
+                    while items and items[0][0] <= horizon:
+                        items.popleft()
+                        mut += 1
+                        evict += 1
+                    cursor = succ_ts
+                    if items:
+                        items.append((cursor,
+                                      values[cursor - ts0, lane].copy()))
+                        succ_ts = cursor + int(rng.integers(1, window + 1))
+                elif acc_ts is not None:
+                    horizon = acc_ts - 1 - window
+                    while items and items[0][0] <= horizon:
+                        items.popleft()
+                        mut += 1
+                        evict += 1
+                    items.clear()
+                    items.append((acc_ts, values[acc_ts - ts0, lane].copy()))
+                    succ_ts = acc_ts + int(rng.integers(1, window + 1))
+                    pos += 1
+                    cursor = acc_ts
+                    mut += 1
+                else:
+                    break
+            mutations[rel] += mut
+            evictions[rel] += evict
+            touched_lanes.append(lane)
+            touched_slots.append(slot)
+            touched_succ.append(succ_ts)
+        self._mutations[lo:hi] += mutations
+        self._evictions[lo:hi] += evictions
+        self._successor_ts[touched_lanes, touched_slots] = touched_succ
+        self._sync_heads(touched_lanes, touched_slots)
+
+    def _expire(self, horizon: int) -> None:
+        """Drop active elements at or before ``horizon``; promote successors."""
+        lanes, slots = np.nonzero(self._head_ts <= horizon)
+        if lanes.size == 0:
+            return
+        lanes_list, slots_list = lanes.tolist(), slots.tolist()
+        dropped = [0] * self.n_lanes
+        for lane, slot in zip(lanes_list, slots_list):
+            items = self._chains[lane * self._sample_size + slot]
+            while items and items[0][0] <= horizon:
+                items.popleft()
+                dropped[lane] += 1
+        self._mutations += dropped
+        self._evictions += dropped
+        self._sync_heads(lanes_list, slots_list)
+
+    def _sync_heads(self, lanes: "list[int]", slots: "list[int]") -> None:
+        """Mirror the active elements of the given slots into the arrays."""
+        if not lanes:
+            return
+        head_ts: "list[int]" = []
+        head_val: "list[np.ndarray]" = []
+        for lane, slot in zip(lanes, slots):
+            items = self._chains[lane * self._sample_size + slot]
+            if items:
+                head_ts.append(items[0][0])
+                head_val.append(items[0][1])
+            else:
+                head_ts.append(int(_EMPTY))
+                head_val.append(self._head_val[lane, slot])
+        self._head_ts[lanes, slots] = head_ts
+        self._head_val[lanes, slots] = head_val
+
+    # ------------------------------------------------------------------
+    # Snapshot protocol (repro.engine.snapshot)
+    # ------------------------------------------------------------------
+
+    def snapshot_state(self) -> "dict[str, Any]":
+        """One :meth:`ChainSample.snapshot_state` dict per lane, under ``lanes``.
+
+        The per-stream layout keeps checkpoints interchangeable with
+        those of per-stream samplers.
+        """
+        return {"lanes": [self._lane_state(lane)
+                          for lane in range(self.n_lanes)]}
+
+    def _lane_state(self, lane: int) -> "dict[str, Any]":
+        n_slots = self._sample_size
+        base = lane * n_slots
+        return {
+            "window_size": self._window_size,
+            "sample_size": n_slots,
+            "n_dims": self._n_dims,
+            "rng": rng_state(self._rngs[lane]),
+            "successor_rngs": [
+                rng_state(g)
+                for g in self._successor_rngs[base:base + n_slots]],
+            "chains": [
+                {"items": [(int(ts), value.copy())
+                           for ts, value in self._chains[base + slot]],
+                 "successor_ts": succ}
+                for slot, succ in enumerate(
+                    self._successor_ts[lane].tolist())],
+            "timestamp": self._timestamp,
+            "mutations": int(self._mutations[lane]),
+            "evictions": int(self._evictions[lane]),
+        }
+
+    @classmethod
+    def restore_state(cls, state: "dict[str, Any]") -> "ChainSampleBank":
+        """Rebuild a bank from a :meth:`snapshot_state` dict.
+
+        Every lane must share the window, slot count, dimensionality and
+        timestamp: lanes advance together.
+        """
+        states = state["lanes"]
+        if not states:
+            raise SnapshotError("a chain-sample bank needs at least one lane")
+        first = states[0]
+        for state in states:
+            for key in ("window_size", "sample_size", "n_dims", "timestamp"):
+                if int(state[key]) != int(first[key]):
+                    raise SnapshotError(
+                        f"chain-sample lanes disagree on {key}: "
+                        f"{state[key]} != {first[key]}")
+        n_lanes = len(states)
+        n_slots = int(first["sample_size"])
+        bank = cls.__new__(cls)
+        bank._window_size = int(first["window_size"])
+        bank._sample_size = n_slots
+        bank._n_dims = int(first["n_dims"])
+        bank._rngs = [rng_from_state(s["rng"]) for s in states]
+        bank._successor_rngs = [rng_from_state(g) for s in states
+                                for g in s["successor_rngs"]]
+        bank._chains = [
+            deque((int(ts), np.asarray(value, dtype=float))
+                  for ts, value in chain["items"])
+            for s in states for chain in s["chains"]]
+        if (len(bank._successor_rngs) != n_lanes * n_slots
+                or len(bank._chains) != n_lanes * n_slots):
+            raise SnapshotError(
+                f"chain-sample lanes must hold {n_slots} slots each")
+        bank._head_ts = np.full((n_lanes, n_slots), _EMPTY, dtype=np.int64)
+        bank._head_val = np.zeros((n_lanes, n_slots, bank._n_dims))
+        bank._successor_ts = np.array(
+            [int(chain["successor_ts"]) for s in states
+             for chain in s["chains"]],
+            dtype=np.int64).reshape(n_lanes, n_slots)
+        bank._timestamp = int(first["timestamp"])
+        bank._mutations = np.array([int(s["mutations"]) for s in states],
+                                   dtype=np.int64)
+        bank._evictions = np.array([int(s["evictions"]) for s in states],
+                                   dtype=np.int64)
+        lanes, slots = np.divmod(np.arange(n_lanes * n_slots), n_slots)
+        bank._sync_heads(lanes.tolist(), slots.tolist())
+        return bank
 
 
 # repro-lint: shard-state

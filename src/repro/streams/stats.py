@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro._exceptions import ParameterError
 from repro._validation import as_points
@@ -45,6 +44,9 @@ def summarize(values: "np.ndarray | Sequence[float]") -> StreamSummary:
         raise ParameterError("cannot summarise an empty stream")
     if not np.isfinite(arr).all():
         raise ParameterError("values must be finite")
+    # Imported here: scipy.stats costs ~45 MB and ~0.5 s at import, and
+    # this one skew call is its only use.
+    from scipy import stats as scipy_stats
     return StreamSummary(
         count=int(arr.size),
         minimum=float(arr.min()),

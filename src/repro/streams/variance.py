@@ -43,13 +43,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import _sanitize, obs
-from repro._exceptions import ParameterError
+from repro._exceptions import ParameterError, SnapshotError
 from repro.core.backend import get_backend
 from repro._validation import require_fraction, require_positive_int
 from repro.streams.window import SlidingWindow
 
 __all__ = [
     "ExactWindowedVariance",
+    "EHVarianceBank",
     "EHVarianceSketch",
     "MultiDimVarianceSketch",
     "theoretical_bound_words",
@@ -392,6 +393,298 @@ class EHVarianceSketch:
         sketch._max_bucket_count = int(state["max_bucket_count"])
         sketch._since_compress = int(state["since_compress"])
         return sketch
+
+
+# repro-lint: shard-state
+class EHVarianceBank:
+    """The EH variance sketches of ``L`` scalar streams, advanced in lockstep.
+
+    Lane ``l`` holds exactly the buckets an :class:`EHVarianceSketch`
+    fed the lane's column through :meth:`EHVarianceSketch.insert_many`
+    would hold, and :meth:`std` returns its :meth:`EHVarianceSketch.std`
+    bit for bit.  The per-stream class stays the reference.
+
+    Layout: bucket fields are ``(capacity, L)`` arrays, so row ``i`` is
+    every lane's ``i``-th bucket.  Lane ``l`` keeps its buckets, oldest
+    first, in rows ``start[l] .. start[l] + n[l] - 1``; expiry advances
+    ``start`` and every compression packs the buckets back to row 0.
+    Counts are float64, exact below 2**53 and so equal to the
+    per-stream integer counts under the same merge arithmetic (the
+    argument the compiled ``eh_compress`` hook relies on too).
+    """
+
+    def __init__(self, window_size: int, epsilon: float,
+                 n_lanes: int) -> None:
+        require_positive_int("window_size", window_size)
+        require_fraction("epsilon", epsilon)
+        require_positive_int("n_lanes", n_lanes)
+        self._window_size = window_size
+        self._epsilon = epsilon
+        self._variance_budget = _BUDGET_FACTOR * epsilon * epsilon
+        self._count_fraction = epsilon / 2.0
+        self._lanes = np.arange(n_lanes)
+        self._alloc(_COMPRESS_INTERVAL)
+        self._start = np.zeros(n_lanes, dtype=np.int64)
+        self._n = np.zeros(n_lanes, dtype=np.int64)
+        self._max_bucket_count = np.zeros(n_lanes, dtype=np.int64)
+        self._timestamp = -1
+        self._since_compress = 0
+
+    def _alloc(self, capacity: int) -> None:
+        n_lanes = self._lanes.shape[0]
+        self._ts = np.zeros((capacity, n_lanes), dtype=np.int64)
+        self._count = np.ones((capacity, n_lanes))
+        self._mean = np.zeros((capacity, n_lanes))
+        self._m2 = np.zeros((capacity, n_lanes))
+
+    @property
+    def n_lanes(self) -> int:
+        """Number of lanes (streams)."""
+        return int(self._lanes.shape[0])
+
+    def memory_words(self) -> np.ndarray:
+        """Per-lane :meth:`EHVarianceSketch.memory_words`, shape ``(L,)``."""
+        return self._n * WORDS_PER_BUCKET
+
+    # ------------------------------------------------------------------
+
+    def _packed(self) -> "tuple[np.ndarray, ...]":
+        """Bucket fields re-based to row 0: ``(rows, L)`` copies.
+
+        Rows past a lane's last bucket hold count 1 and zeros, so the
+        masked arithmetic over them stays finite.
+        """
+        rows = int(self._n.max())
+        offsets = np.arange(rows)[:, None]
+        valid = offsets < self._n[None, :]
+        idx = np.where(valid, self._start[None, :] + offsets, 0)
+        lanes = self._lanes[None, :]
+        ts = np.where(valid, self._ts[idx, lanes], 0)
+        count = np.where(valid, self._count[idx, lanes], 1.0)
+        mean = np.where(valid, self._mean[idx, lanes], 0.0)
+        m2 = np.where(valid, self._m2[idx, lanes], 0.0)
+        return ts, count, mean, m2
+
+    def insert_many(self, values: np.ndarray) -> None:
+        """Insert ``k`` consecutive values per lane; ``values`` is ``(k, L)``.
+
+        Follows :meth:`EHVarianceSketch.insert_many`: singleton buckets
+        in chunks aligned to the compression cadence, expiry charged at
+        each chunk's final timestamp.
+        """
+        if values.ndim != 2 or values.shape[1] != self.n_lanes:
+            raise ParameterError(
+                f"values must have shape (k, {self.n_lanes}), "
+                f"got {values.shape}")
+        if not np.isfinite(values).all():
+            raise ParameterError("values must all be finite")
+        m = values.shape[0]
+        i = 0
+        while i < m:
+            k = min(m - i, _COMPRESS_INTERVAL - self._since_compress)
+            end = self._start + self._n
+            if int(end.max()) + k > self._ts.shape[0]:
+                self._grow(int(self._n.max()) + k)
+                end = self._n.copy()
+            rows = end[None, :] + np.arange(k)[:, None]
+            lanes = self._lanes[None, :]
+            ts0 = self._timestamp + 1
+            self._ts[rows, lanes] = np.arange(ts0, ts0 + k)[:, None]
+            self._count[rows, lanes] = 1.0
+            self._mean[rows, lanes] = values[i:i + k]
+            self._m2[rows, lanes] = 0.0
+            self._n += k
+            self._timestamp = ts0 + k - 1
+            horizon = self._timestamp - self._window_size
+            while True:
+                oldest = self._ts[np.minimum(self._start,
+                                             self._ts.shape[0] - 1),
+                                  self._lanes]
+                expired = (self._n > 0) & (oldest <= horizon)
+                if not expired.any():
+                    break
+                self._start += expired
+                self._n -= expired
+            self._since_compress += k
+            i += k
+            if self._since_compress >= _COMPRESS_INTERVAL:
+                self._compress()
+                self._since_compress = 0
+                np.maximum(self._max_bucket_count, self._n,
+                           out=self._max_bucket_count)
+
+    def _grow(self, needed: int) -> None:
+        """Re-base every lane to row 0 with room for ``needed`` rows."""
+        ts, count, mean, m2 = self._packed()
+        rows = ts.shape[0]
+        self._alloc(max(needed, 2 * self._ts.shape[0]))
+        self._ts[:rows], self._count[:rows] = ts, count
+        self._mean[:rows], self._m2[:rows] = mean, m2
+        self._start[:] = 0
+
+    def _compress(self) -> None:
+        """:meth:`EHVarianceSketch._compress` for every lane at once.
+
+        Both passes run across lanes in step: the suffix aggregate
+        newest to oldest, then the greedy merge oldest to newest, each
+        lane masked to its own bucket count.  Every update evaluates the
+        per-stream expression tree, so the buckets agree bit for bit.
+        """
+        n = self._n
+        if int(n.max()) < 2:
+            return
+        ts, count, mean, m2 = self._packed()
+        rows = ts.shape[0]
+        window_population = min(self._timestamp + 1, self._window_size)
+        max_count = max(1.0, self._count_fraction * window_population)
+        budget = self._variance_budget
+        lanes = self._lanes
+        last = np.maximum(n - 1, 0)
+        suffix_m2 = np.zeros((rows, lanes.shape[0]))
+        s_count = count[last, lanes]
+        s_mean = mean[last, lanes]
+        s_m2 = m2[last, lanes]
+        suffix_m2[last, lanes] = s_m2
+        for i in range(rows - 2, -1, -1):
+            live = i < last
+            c = count[i]
+            total = c + s_count
+            delta = s_mean - mean[i]
+            new_m2 = m2[i] + s_m2 + delta * delta * (c * s_count / total)
+            new_mean = mean[i] + delta * (s_count / total)
+            np.copyto(s_m2, new_m2, where=live)
+            np.copyto(s_mean, new_mean, where=live)
+            np.copyto(s_count, total, where=live)
+            np.copyto(suffix_m2[i], new_m2, where=live)
+        out = [np.zeros_like(a) for a in (ts, count, mean, m2)]
+        written = np.zeros(lanes.shape[0], dtype=np.int64)
+        c_ts, c_count = ts[0].copy(), count[0].copy()
+        c_mean, c_m2 = mean[0].copy(), m2[0].copy()
+        head_m2 = suffix_m2[0].copy()
+        for i in range(1, rows):
+            live = i < n
+            b_count = count[i]
+            total = c_count + b_count
+            delta = mean[i] - c_mean
+            cand_m2 = c_m2 + m2[i] + delta * delta * (c_count * b_count
+                                                      / total)
+            merge = live & (total <= max_count) & (cand_m2 <= budget * head_m2)
+            np.copyto(c_mean, c_mean + delta * (b_count / total), where=merge)
+            np.copyto(c_m2, cand_m2, where=merge)
+            np.copyto(c_count, total, where=merge)
+            np.copyto(c_ts, ts[i], where=merge)
+            close = live & ~merge
+            if close.any():
+                at = written[close], lanes[close]
+                for dst, src in zip(out, (c_ts, c_count, c_mean, c_m2)):
+                    dst[at] = src[close]
+                written += close
+                for dst, src in zip((c_ts, c_count, c_mean, c_m2, head_m2),
+                                    (ts, count, mean, m2, suffix_m2)):
+                    np.copyto(dst, src[i], where=close)
+        filled = n > 0
+        at = written[filled], lanes[filled]
+        for dst, src in zip(out, (c_ts, c_count, c_mean, c_m2)):
+            dst[at] = src[filled]
+        written += filled
+        self._ts[:rows], self._count[:rows] = out[0], out[1]
+        self._mean[:rows], self._m2[:rows] = out[2], out[3]
+        self._start[:] = 0
+        self._n = written
+
+    # ------------------------------------------------------------------
+
+    def std(self) -> np.ndarray:
+        """Per-lane :meth:`EHVarianceSketch.std`, shape ``(L,)``.
+
+        The oldest bucket straddles the window edge and is charged at
+        half weight, unless it is a lane's only bucket.
+        """
+        n = self._n
+        if not (n > 0).all():
+            raise ParameterError("no values inserted yet")
+        ts, count, mean, m2 = self._packed()
+        several = n > 1
+        a_count = np.where(several,
+                           np.maximum(1.0, np.floor_divide(count[0], 2.0)),
+                           count[0])
+        a_mean = mean[0].copy()
+        a_m2 = np.where(several, m2[0] / 2.0, m2[0])
+        for i in range(1, ts.shape[0]):
+            live = i < n
+            b_count = count[i]
+            total = a_count + b_count
+            delta = mean[i] - a_mean
+            new_mean = a_mean + delta * (b_count / total)
+            new_m2 = a_m2 + m2[i] + delta * delta * (a_count * b_count
+                                                     / total)
+            np.copyto(a_mean, new_mean, where=live)
+            np.copyto(a_m2, new_m2, where=live)
+            np.copyto(a_count, total, where=live)
+        variance = a_m2 / a_count
+        return np.sqrt(np.where(variance < 0.0, 0.0, variance))
+
+    # ------------------------------------------------------------------
+    # Snapshot protocol (repro.engine.snapshot)
+    # ------------------------------------------------------------------
+
+    def snapshot_state(self) -> "dict[str, Any]":
+        """One :meth:`EHVarianceSketch.snapshot_state` dict per lane, under
+        ``lanes``, so checkpoints stay interchangeable with per-stream
+        sketches."""
+        return {"lanes": [self._lane_state(lane)
+                          for lane in range(self.n_lanes)]}
+
+    def _lane_state(self, lane: int) -> "dict[str, Any]":
+        lo = int(self._start[lane])
+        hi = lo + int(self._n[lane])
+        return {
+            "window_size": self._window_size,
+            "epsilon": self._epsilon,
+            "buckets": [(ts, int(count), mean, m2) for ts, count, mean, m2
+                        in zip(self._ts[lo:hi, lane].tolist(),
+                               self._count[lo:hi, lane].tolist(),
+                               self._mean[lo:hi, lane].tolist(),
+                               self._m2[lo:hi, lane].tolist())],
+            "timestamp": self._timestamp,
+            "max_bucket_count": int(self._max_bucket_count[lane]),
+            "since_compress": self._since_compress,
+        }
+
+    @classmethod
+    def restore_state(cls, state: "dict[str, Any]") -> "EHVarianceBank":
+        """Rebuild a bank from a :meth:`snapshot_state` dict.
+
+        Every lane must share the window, accuracy, timestamp and
+        compression phase: lanes advance together.
+        """
+        states = state["lanes"]
+        if not states:
+            raise SnapshotError("a variance bank needs at least one lane")
+        first = states[0]
+        for state in states:
+            for key in ("window_size", "epsilon", "timestamp",
+                        "since_compress"):
+                if state[key] != first[key]:
+                    raise SnapshotError(
+                        f"variance-sketch lanes disagree on {key}: "
+                        f"{state[key]} != {first[key]}")
+        bank = cls(int(first["window_size"]), float(first["epsilon"]),
+                   len(states))
+        rows = max(len(s["buckets"]) for s in states)
+        bank._alloc(max(rows, _COMPRESS_INTERVAL))
+        for lane, state in enumerate(states):
+            for row, (ts, count, mean, m2) in enumerate(state["buckets"]):
+                bank._ts[row, lane] = int(ts)
+                bank._count[row, lane] = float(int(count))
+                bank._mean[row, lane] = float(mean)
+                bank._m2[row, lane] = float(m2)
+            bank._n[lane] = len(state["buckets"])
+        bank._max_bucket_count[:] = [int(s["max_bucket_count"])
+                                     for s in states]
+        bank._timestamp = int(first["timestamp"])
+        bank._since_compress = int(first["since_compress"])
+        return bank
 
 
 # repro-lint: shard-state

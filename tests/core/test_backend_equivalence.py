@@ -131,6 +131,35 @@ class TestNumpyBitIdentity:
                                             bandwidths))
 
 
+class TestLanesKernel:
+    """``range_lanes`` equals ``range_batch`` lane by lane, on any backend."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=30),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([1, 7, 100, 262_144]),
+           st.integers(min_value=0, max_value=2 ** 16),
+           st.booleans())
+    def test_matches_per_lane_range_batch(self, n_lanes, m, n, d, cells,
+                                          seed, gaussian):
+        kernel = GAUSSIAN if gaussian else EPANECHNIKOV
+        rng = np.random.default_rng(seed)
+        centers = rng.random((n_lanes, n, d))
+        inv_bw = 1.0 / rng.uniform(0.01, 0.5, size=(n_lanes, d))
+        lows = rng.random((n_lanes, m, d))
+        highs = lows + rng.uniform(0.0, 0.2, size=(n_lanes, m, d))
+        ops = get_backend()
+        got = np.empty((n_lanes, m))
+        ops.range_lanes(kernel, lows, highs, centers, inv_bw, got, cells)
+        for lane in range(n_lanes):
+            want = np.empty(m)
+            ops.range_batch(kernel, lows[lane], highs[lane], centers[lane],
+                            inv_bw[lane], want, block_cells())
+            assert np.array_equal(got[lane], want)
+
+
 # ---------------------------------------------------------------------------
 # sorted-index fast paths vs brute force
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 This module is the portable compute backend behind
 :mod:`repro.core.backend`.  Each function evaluates the exact expression
 the estimator historically inlined, but blocked over the *query* axis so
-a block's scratch arrays (sized by ``REPRO_KERNEL_BLOCK``) stay resident
+a block's scratch arrays (sized by ``backend.BLOCK_CELLS``) stay resident
 in cache, and with every elementwise step running in place instead of
 allocating a fresh temporary.
 

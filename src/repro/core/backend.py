@@ -21,10 +21,10 @@ Selection is driven by the ``REPRO_BACKEND`` environment variable:
 
 Programmatic selection via :func:`set_backend` is strict by default so
 tests know which backend they exercised; :func:`use_backend` scopes a
-selection to a ``with`` block.  ``REPRO_KERNEL_BLOCK`` tunes the number
-of (query, centre, dimension) cells each fused block materialises
-(default 262 144 cells = 2 MB of float64 scratch, sized so a block's
-working set streams through L2).
+selection to a ``with`` block.  Each fused block materialises at most
+:data:`BLOCK_CELLS` (query, centre, dimension) cells: 262 144 cells =
+2 MB of float64 scratch, sized so a block's working set streams through
+L2.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ import numpy as np
 from repro._exceptions import ParameterError
 
 __all__ = [
+    "BLOCK_CELLS",
     "Backend",
     "available_backends",
     "backend_name",
-    "block_cells",
     "get_backend",
     "resolve_backend",
     "set_backend",
@@ -50,9 +50,10 @@ __all__ = [
 ]
 
 _ENV_BACKEND = "REPRO_BACKEND"
-_ENV_BLOCK = "REPRO_KERNEL_BLOCK"
-_DEFAULT_BLOCK_CELLS = 262_144
 _CHOICES = ("auto", "numpy", "numba")
+
+#: Cells per fused evaluation block (see the module docstring).
+BLOCK_CELLS = 262_144
 
 
 @dataclass(frozen=True)
@@ -175,19 +176,3 @@ def use_backend(name: str, *, strict: bool = True) -> Iterator[Backend]:
 def backend_name() -> str:
     """Name of the active backend (``"numpy"`` or ``"numba"``)."""
     return get_backend().name
-
-
-def block_cells() -> int:
-    """Cells per fused evaluation block (``REPRO_KERNEL_BLOCK``)."""
-    raw = os.environ.get(_ENV_BLOCK)
-    if not raw:
-        return _DEFAULT_BLOCK_CELLS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"REPRO_KERNEL_BLOCK must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ParameterError(
-            f"REPRO_KERNEL_BLOCK must be >= 1, got {value}")
-    return value

@@ -71,22 +71,13 @@ class KernelDensityEstimator:
     window_size:
         ``|W|``, the number of values the window holds.  Neighbourhood
         counts are scaled by this.  Defaults to the sample size.
-    bandwidth_n:
-        The observation count fed to Scott's rule.  Defaults to the
-        sample size ``|R|`` -- the paper's formula as printed
-        (Section 4).  The online detectors pass the *window* size
-        instead: the estimate represents ``|W|`` observations, the
-        narrower bandwidth resolves outlier-scale structure, and it is
-        what reproduces the paper's reported accuracy (see
-        EXPERIMENTS.md).  Ignored when ``bandwidths`` is explicit.
     """
 
     def __init__(self, sample: "np.ndarray | Sequence[float]", *,
                  stddev: "float | np.ndarray | None" = None,
                  bandwidths: "float | np.ndarray | None" = None,
                  kernel: Kernel = EPANECHNIKOV,
-                 window_size: int | None = None,
-                 bandwidth_n: int | None = None) -> None:
+                 window_size: int | None = None) -> None:
         points = as_points("sample", sample)
         if points.shape[0] == 0:
             raise EmptyModelError("cannot build a density model from an empty sample")
@@ -110,12 +101,7 @@ class KernelDensityEstimator:
         else:
             if stddev is None:
                 stddev = points.std(axis=0)
-            if bandwidth_n is None:
-                bandwidth_n = self._n
-            elif bandwidth_n < 1:
-                raise ParameterError(
-                    f"bandwidth_n must be >= 1, got {bandwidth_n}")
-            self._bandwidths = scott_bandwidths(stddev, bandwidth_n, self._d)
+            self._bandwidths = scott_bandwidths(stddev, self._n, self._d)
         if _sanitize.ACTIVE:
             _sanitize.check_bandwidths(self._bandwidths,
                                        label="KernelDensityEstimator")
@@ -246,7 +232,7 @@ class KernelDensityEstimator:
         norm = inv_bw.prod() / self._n
         _backend.get_backend().pdf_batch(
             self._kernel, queries, self._sample, inv_bw, norm, out,
-            _backend.block_cells())
+            _backend.BLOCK_CELLS)
         return out
 
     def range_probability(self, low: "np.ndarray | Sequence[float] | float",
@@ -292,7 +278,7 @@ class KernelDensityEstimator:
             inv_bw = 1.0 / self._bandwidths
             _backend.get_backend().range_batch(
                 self._kernel, lows, highs, self._sample, inv_bw, out,
-                _backend.block_cells())
+                _backend.BLOCK_CELLS)
             if _sanitize.ACTIVE:
                 _sanitize.check_probabilities(out, label="range_probability")
             # Clamp tiny negative values from floating point cancellation.

@@ -1,17 +1,21 @@
-"""Shared per-node estimator state for the distributed detectors.
+"""Shared per-node estimator state and node rules for the detectors.
 
 Every node that approximates a distribution -- D3 leaves and parents,
 MGDD leaves (their local sample) and leaders -- carries the same trio of
 Section 5 components: a chain sample of its arrival stream, per-dimension
 variance sketches, and a cached kernel model rebuilt at a bounded rate.
-This module factors that trio out of the algorithm classes.
+This module factors that trio out of the algorithm classes, together
+with the rules of Figure 4's node loop that more than one node kind
+applies: the batched model-check schedule (:func:`model_check_chunks`),
+a leaf's sample-forwarding gate (:class:`ForwardGate`) and a leader's
+count window (:class:`LeaderWindow`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -20,6 +24,8 @@ from repro._exceptions import ParameterError
 from repro.core.bandwidth import MIN_BANDWIDTH, scott_factor
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
+from repro.network.messages import ValueForward
+from repro.network.node import Outgoing
 from repro.streams.sampling import ChainSample
 from repro.streams.variance import MultiDimVarianceSketch
 
@@ -27,9 +33,12 @@ __all__ = [
     "StreamModelState",
     "StreamModelLayout",
     "ChildStalenessTracker",
+    "ForwardGate",
+    "LeaderWindow",
     "check_model_args",
     "default_min_arrivals",
     "model_bandwidths",
+    "model_check_chunks",
     "needs_rebuild",
     "next_check_in",
 ]
@@ -82,6 +91,31 @@ def next_check_in(has_model: bool, arrivals: int, last_check: int,
     if not has_model:
         return max(1, min_arrivals - arrivals)
     return max(1, model_refresh - (arrivals - last_check))
+
+
+def model_check_chunks(m: int, warmup_left: int,
+                       check_args: "Callable[[], tuple[bool, int, int, int, int]]"
+                       ) -> "Iterator[tuple[int, int, bool | None]]":
+    """Split ``m`` arrivals into the chunks of the model-check schedule.
+
+    Yields ``(start, stop, due)`` for consecutive row ranges.  The first
+    ``warmup_left`` rows come as one chunk with ``due`` None: they are
+    observed but not scored.  Every later chunk ends at the next
+    arrival on which a model check may rebuild (``due`` True) or at the
+    end of the block (``due`` False), so every row before a chunk's last
+    sees the model cached at the chunk's start -- reproducing the
+    one-at-a-time schedule exactly.  ``check_args()`` returns the
+    arguments of :func:`next_check_in`; it is read after the caller has
+    handled the previous chunk.
+    """
+    i = min(max(0, warmup_left), m)
+    if i:
+        yield 0, i, None
+    while i < m:
+        until = next_check_in(*check_args())
+        k = min(m - i, until)
+        yield i, i + k, k == until
+        i += k
 
 
 def needs_rebuild(std: np.ndarray, built_std: np.ndarray,
@@ -306,7 +340,7 @@ class StreamModelState:
         """The cached estimator as-is -- no staleness check, no rebuild.
 
         Batched callers evaluate whole chunks of readings against this
-        between due checks (see :meth:`arrivals_until_check`).
+        between due checks (see :meth:`chunk_models`).
         """
         return self._cached
 
@@ -320,9 +354,43 @@ class StreamModelState:
         against the current cache -- reproducing the one-at-a-time
         schedule exactly.
         """
-        return next_check_in(self._cached is not None, self._arrivals,
-                             self._last_check, self._min_arrivals,
-                             self._model_refresh)
+        return next_check_in(*self._check_args())
+
+    def _check_args(self) -> "tuple[bool, int, int, int, int]":
+        return (self._cached is not None, self._arrivals, self._last_check,
+                self._min_arrivals, self._model_refresh)
+
+    def check_chunks(self, m: int, warmup_left: int
+                     ) -> "Iterator[tuple[int, int, bool | None]]":
+        """:func:`model_check_chunks` over this state's own schedule.
+
+        The caller observes each chunk before asking for the next.
+        """
+        return model_check_chunks(m, warmup_left, self._check_args)
+
+    def chunk_models(self, start: int, stop: int, due: bool,
+                     check: "Callable[[], KernelDensityEstimator | None]"
+                     ) -> "list[tuple[KernelDensityEstimator, int, int, int]]":
+        """The models that score rows ``start:stop`` of an observed chunk.
+
+        Returns ``(model, model_seq, start, stop)`` segments.  Rows before
+        a due arrival use the cached model; the due arrival uses
+        ``check()`` (the owner's :meth:`model` call); on a clean check,
+        which keeps the cached model, the whole chunk uses it.  Rows
+        without a model are left out.
+        """
+        cached, seq = self._cached, self._model_seq
+        if not due:
+            return [] if cached is None else [(cached, seq, start, stop)]
+        model = check()
+        if model is cached:
+            return [] if model is None else [(model, seq, start, stop)]
+        segments = []
+        if stop - start > 1 and cached is not None:
+            segments.append((cached, seq, start, stop - 1))
+        if model is not None:
+            segments.append((model, self._model_seq, stop - 1, stop))
+        return segments
 
     def model(self) -> "KernelDensityEstimator | None":
         """The current kernel model, or None before ``min_arrivals``.
@@ -502,3 +570,89 @@ class ChildStalenessTracker:
         tracker._last_heard = {int(child): int(tick)
                                for child, tick in state["last_heard"].items()}
         return tracker
+
+
+class ForwardGate:
+    """A leaf's sample-forwarding gate (Figure 4, D3 line 14 / MGDD line 12).
+
+    An arrival that replaced a slot of the leaf's sample travels to the
+    parent with probability ``f``.  The draws come from a dedicated
+    substream so the batched and per-tick ingestion paths consume it in
+    the same order; it is spawned, so the leaf's own generator is not
+    advanced.  Build the gate before the leaf's :class:`StreamModelState`:
+    both spawn from the same generator, and the order fixes which
+    substream each gets.
+    """
+
+    def __init__(self, parent: "int | None", fraction: float,
+                 rng: np.random.Generator) -> None:
+        self._parent = parent
+        self._fraction = fraction
+        try:
+            self._rng = rng.spawn(1)[0]
+        except (AttributeError, TypeError):
+            self._rng = np.random.default_rng(int(rng.integers(2**63)))
+
+    def forward(self, slots: "tuple[int, ...]",
+                value: np.ndarray) -> "list[Outgoing]":
+        """The forward of one arrival that replaced ``slots``, if drawn."""
+        if slots and self._parent is not None \
+                and self._rng.random() < self._fraction:
+            return [(self._parent,
+                     ValueForward(value=np.array(value, dtype=float)))]
+        return []
+
+    def forward_many(self, changed: "list[tuple[int, ...]]",
+                     values: np.ndarray) -> "list[list[Outgoing]]":
+        """:meth:`forward` for each arrival of a block, in order.
+
+        One draw per slot-replacing arrival, taken as one block: the
+        same doubles, in the same order, as the per-arrival draws.
+        """
+        per_tick: "list[list[Outgoing]]" = [[] for _ in changed]
+        if self._parent is None:
+            return per_tick
+        rows = [row for row, slots in enumerate(changed) if slots]
+        for row, draw in zip(rows, self._rng.random(len(rows)).tolist()):
+            if draw < self._fraction:
+                per_tick[row].append((self._parent, ValueForward(
+                    value=np.array(values[row], dtype=float))))
+        return per_tick
+
+
+class LeaderWindow:
+    """The count window of a leader (D3 parent, MGDD leader).
+
+    A leader scales neighbourhood counts by the values its conceptual
+    window holds: under ``"fixed"`` windows the most recent ``|W|``
+    values of the combined children stream, under ``"union"`` the union
+    of the full leaf windows below (Theorem 3's ``W_p``).  With a
+    staleness horizon, leaves under children silent beyond it drop out
+    of that count (docs/FAULT_MODEL.md).  ``config`` is the deployment's
+    ``D3Config`` or ``MGDDConfig``.
+    """
+
+    def __init__(self, config: Any, n_leaves: int,
+                 children_leaf_counts: "Mapping[int, int] | None") -> None:
+        self._config = config
+        self._n_leaves = n_leaves
+        self._staleness = ChildStalenessTracker(children_leaf_counts)
+
+    def child_staleness(self, tick: int) -> "dict[int, int]":
+        """Ticks since each direct child was last heard from."""
+        return self._staleness.staleness(tick)
+
+    def _active_leaves(self, tick: int) -> int:
+        """Leaves feeding this node's window, per the staleness horizon."""
+        horizon = self._config.staleness_horizon
+        if horizon is None:
+            return self._n_leaves
+        return max(1, self._staleness.active_leaf_count(tick, horizon))
+
+    def _count_window(self, tick: int) -> int:
+        """The count window size ``|W|`` scales by at ``tick``."""
+        leaves = self._active_leaves(tick)
+        window = self._config.window_size
+        if self._config.parent_window == "fixed":
+            return min((tick + 1) * leaves, window)
+        return min(tick + 1, window) * leaves

@@ -19,7 +19,7 @@ per-window volume is derived in :func:`expected_parent_arrival_window`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -32,10 +32,13 @@ from repro._validation import (
 )
 from repro.core.kernels import EPANECHNIKOV, Kernel
 from repro.core.outliers import DistanceOutlierSpec
-from repro.detectors._state import ChildStalenessTracker, StreamModelState
+from repro.detectors._state import ForwardGate, LeaderWindow, StreamModelState
 from repro.network.messages import Message, OutlierReport, ValueForward
 from repro.network.node import Detection, DetectionLog, Outgoing
 from repro.network.topology import Hierarchy
+
+if TYPE_CHECKING:
+    from repro.detectors.mgdd import MGDDConfig
 
 __all__ = ["D3Config", "D3LeafNode", "D3ParentNode", "build_d3_network",
            "expected_parent_arrival_window"]
@@ -91,7 +94,8 @@ class D3Config:
         return self.window_size if self.warmup is None else self.warmup
 
 
-def expected_parent_arrival_window(n_children: int, config: D3Config) -> int:
+def expected_parent_arrival_window(n_children: int,
+                                   config: "D3Config | MGDDConfig") -> int:
     """A parent's window length measured in forwarded arrivals.
 
     Every node replaces sample slots and forwards each replacement
@@ -112,7 +116,34 @@ def expected_parent_arrival_window(n_children: int, config: D3Config) -> int:
     return max(2, config.sample_size, expected)
 
 
-class D3LeafNode:
+class _D3Node:
+    """What D3 leaves and parents share: flagging a reading and escalating it."""
+
+    node_id: int
+    _parent: "int | None"
+    _level: int
+    _config: D3Config
+    _log: DetectionLog
+
+    def _escalate(self, value: np.ndarray, origin: int, reading_tick: int,
+                  count: float, model_seq: int,
+                  flag_tick: "int | None" = None) -> "list[Outgoing]":
+        """Log a flagged reading; report it to the parent (Theorem 3)."""
+        self._log.record(
+            Detection(tick=reading_tick, node_id=self.node_id,
+                      level=self._level, origin=origin, value=value),
+            flag_tick=flag_tick,
+            prob=count,
+            threshold=float(self._config.spec.count_threshold),
+            model_seq=model_seq)
+        if self._parent is None:
+            return []
+        return [(self._parent, OutlierReport(
+            value=value, origin=origin, flagged_level=self._level,
+            tick=reading_tick))]
+
+
+class D3LeafNode(_D3Node):
     """LeafProcess of Figure 4 (lines 11-20)."""
 
     def __init__(self, node_id: int, parent: "int | None", level: int,
@@ -123,15 +154,7 @@ class D3LeafNode:
         self._level = level
         self._config = config
         self._log = log
-        self._rng = rng
-        # Forward gates draw from a dedicated substream so the batched
-        # and per-tick ingestion paths consume it in the same order
-        # (spawned, so the node's own generator is not advanced).
-        try:
-            self._forward_rng = rng.spawn(1)[0]
-        except (AttributeError, TypeError):
-            self._forward_rng = np.random.default_rng(
-                int(rng.integers(2**63)))
+        self._gate = ForwardGate(parent, config.sample_fraction, rng)
         self._state = StreamModelState(
             config.window_size, config.sample_size, n_dims,
             epsilon=config.epsilon, model_refresh=config.model_refresh,
@@ -149,33 +172,20 @@ class D3LeafNode:
 
     def on_reading(self, value: np.ndarray, tick: int) -> "list[Outgoing]":
         """Process one sensor reading (Figure 4, lines 12-19)."""
-        out: "list[Outgoing]" = []
         changed = self._state.observe(value)
         # The window fills over the first |W| ticks.
         self._state.count_window_size = min(tick + 1, self._config.window_size)
-        if changed and self._parent is not None \
-                and self._forward_rng.random() < self._config.sample_fraction:
-            out.append((self._parent, ValueForward(value=np.array(value, dtype=float))))
+        out = self._gate.forward(changed, value)
         if tick >= self._config.effective_warmup:
             model = self._state.model()
             if model is not None:
                 count = float(np.asarray(
                     model.neighborhood_count(value, self._config.spec.radius)).reshape(()))
                 if count < self._config.spec.count_threshold:
-                    self._log.record(
-                        Detection(
-                            tick=tick, node_id=self.node_id,
-                            level=self._level, origin=self.node_id,
-                            value=np.array(value, dtype=float)),
-                        prob=count,
-                        threshold=float(self._config.spec.count_threshold),
-                        model_seq=self._state.model_seq)
                     self.flagged_ticks.append(tick)
-                    if self._parent is not None:
-                        out.append((self._parent, OutlierReport(
-                            value=np.array(value, dtype=float),
-                            origin=self.node_id, flagged_level=self._level,
-                            tick=tick)))
+                    out += self._escalate(
+                        np.array(value, dtype=float), self.node_id, tick,
+                        count, self._state.model_seq)
         return out
 
     def on_readings(self, values: np.ndarray,
@@ -192,46 +202,18 @@ class D3LeafNode:
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
-        n = vals.shape[0]
-        per_tick: "list[list[Outgoing]]" = [[] for _ in range(n)]
-        warmup = self._config.effective_warmup
+        per_tick: "list[list[Outgoing]]" = []
         window = self._config.window_size
-        i = 0
-        while i < n:
-            tick = start_tick + i
-            if tick < warmup:
-                # No detection before warm-up: ingest straight through.
-                k = min(warmup - tick, n - i)
-                changed = self._state.observe_many(vals[i:i + k])
-                self._queue_forwards(changed, vals, per_tick, i)
-                self._state.count_window_size = min(start_tick + i + k, window)
-                i += k
+        for start, stop, due in self._state.check_chunks(
+                vals.shape[0], self._config.effective_warmup - start_tick):
+            changed = self._state.observe_many(vals[start:stop])
+            per_tick += self._gate.forward_many(changed, vals[start:stop])
+            self._state.count_window_size = min(start_tick + stop, window)
+            if due is None:
                 continue
-            until = self._state.arrivals_until_check()
-            k = min(n - i, until)
-            check_hit = k == until
-            changed = self._state.observe_many(vals[i:i + k])
-            self._queue_forwards(changed, vals, per_tick, i)
-            self._state.count_window_size = min(start_tick + i + k, window)
-            cached = self._state.cached_model
-            cached_seq = self._state.model_seq
-            if not check_hit:
-                if cached is not None:
-                    self._flag_batch(cached, vals, start_tick, i, k,
-                                     cached_seq)
-            else:
-                model = self._state.model()
-                if model is cached and model is not None:
-                    self._flag_batch(model, vals, start_tick, i, k,
-                                     cached_seq)
-                else:
-                    if k > 1 and cached is not None:
-                        self._flag_batch(cached, vals, start_tick, i, k - 1,
-                                         cached_seq)
-                    if model is not None:
-                        self._flag_batch(model, vals, start_tick, i + k - 1,
-                                         1, self._state.model_seq)
-            i += k
+            for model, model_seq, a, b in self._state.chunk_models(
+                    start, stop, due, self._state.model):
+                self._flag_batch(model, vals[a:b], start_tick + a, model_seq)
         return per_tick
 
     def on_tick_start(self, tick: int) -> "list[Outgoing]":
@@ -240,42 +222,19 @@ class D3LeafNode:
         if staged is None:
             return []
         value, count, model_seq = staged
-        self._log.record(
-            Detection(tick=tick, node_id=self.node_id, level=self._level,
-                      origin=self.node_id, value=value),
-            prob=count,
-            threshold=float(self._config.spec.count_threshold),
-            model_seq=model_seq)
         self.flagged_ticks.append(tick)
-        if self._parent is not None:
-            return [(self._parent, OutlierReport(
-                value=np.array(value, dtype=float), origin=self.node_id,
-                flagged_level=self._level, tick=tick))]
-        return []
+        return self._escalate(value, self.node_id, tick, count, model_seq)
 
-    def _queue_forwards(self, changed: "list[tuple[int, ...]]",
-                        vals: np.ndarray, per_tick: "list[list[Outgoing]]",
-                        offset: int) -> None:
-        """Stage sample forwards for each arrival that replaced a slot."""
-        if self._parent is None:
-            return
-        fraction = self._config.sample_fraction
-        for j, slots in enumerate(changed):
-            if slots and self._forward_rng.random() < fraction:
-                per_tick[offset + j].append((self._parent, ValueForward(
-                    value=vals[offset + j].copy())))
-
-    def _flag_batch(self, model, vals: np.ndarray, start_tick: int,
-                    offset: int, count: int, model_seq: int) -> None:
+    def _flag_batch(self, model, points: np.ndarray, first_tick: int,
+                    model_seq: int) -> None:
         """Run the distance test on a chunk sharing one model."""
-        points = vals[offset:offset + count]
         radius = self._config.spec.radius
         counts = model._range_probability_batch(
             points - radius, points + radius) * model.window_size
         threshold = self._config.spec.count_threshold
-        for j in range(count):
+        for j in range(points.shape[0]):
             if counts[j] < threshold:
-                self._pending[start_tick + offset + j] = (
+                self._pending[first_tick + j] = (
                     points[j].copy(), float(counts[j]), model_seq)
 
     def on_message(self, message: Message, sender: int,
@@ -284,7 +243,7 @@ class D3LeafNode:
         return []
 
 
-class D3ParentNode:
+class D3ParentNode(_D3Node, LeaderWindow):
     """ParentProcess of Figure 4 (lines 21-31)."""
 
     def __init__(self, node_id: int, parent: "int | None", level: int,
@@ -292,11 +251,10 @@ class D3ParentNode:
                  config: D3Config, n_dims: int, log: DetectionLog,
                  rng: np.random.Generator, *,
                  children_leaf_counts: "Mapping[int, int] | None" = None) -> None:
+        super().__init__(config, n_leaves_under, children_leaf_counts)
         self.node_id = node_id
         self._parent = parent
         self._level = level
-        self._n_leaves_under = n_leaves_under
-        self._config = config
         self._log = log
         self._rng = rng
         arrival_window = expected_parent_arrival_window(n_children, config)
@@ -304,23 +262,11 @@ class D3ParentNode:
             arrival_window, config.sample_size, n_dims,
             epsilon=config.epsilon, model_refresh=config.model_refresh,
             kernel=config.kernel, rng=rng)
-        self._staleness = ChildStalenessTracker(children_leaf_counts)
 
     @property
     def state(self) -> StreamModelState:
         """The node's estimator state (for memory accounting)."""
         return self._state
-
-    def child_staleness(self, tick: int) -> "dict[int, int]":
-        """Ticks since each direct child was last heard from."""
-        return self._staleness.staleness(tick)
-
-    def _active_leaves(self, tick: int) -> int:
-        """Leaves feeding this node's window, per the staleness horizon."""
-        horizon = self._config.staleness_horizon
-        if horizon is None:
-            return self._n_leaves_under
-        return max(1, self._staleness.active_leaf_count(tick, horizon))
 
     def on_reading(self, value: np.ndarray, tick: int) -> "list[Outgoing]":
         """Leaders have no sensor stream of their own in this deployment."""
@@ -333,15 +279,7 @@ class D3ParentNode:
         self._staleness.mark(sender, tick)   # any upward traffic = alive
         if isinstance(message, ValueForward):
             changed = self._state.observe(message.value)
-            leaves = self._active_leaves(tick)
-            if self._config.parent_window == "fixed":
-                # Most recent |W| values of the combined children stream.
-                self._state.count_window_size = min(
-                    (tick + 1) * leaves, self._config.window_size)
-            else:
-                # Union of the full leaf windows below (Theorem 3's W_p).
-                self._state.count_window_size = (
-                    min(tick + 1, self._config.window_size) * leaves)
+            self._state.count_window_size = self._count_window(tick)
             if changed and self._parent is not None \
                     and self._rng.random() < self._config.sample_fraction:
                 out.append((self._parent, message))
@@ -358,20 +296,9 @@ class D3ParentNode:
                                  flagged=flagged, tick=tick,
                                  reading_tick=message.tick)
                     if flagged:
-                        self._log.record(
-                            Detection(
-                                tick=message.tick, node_id=self.node_id,
-                                level=self._level, origin=message.origin,
-                                value=message.value),
-                            flag_tick=tick,
-                            prob=count,
-                            threshold=float(
-                                self._config.spec.count_threshold),
-                            model_seq=self._state.model_seq)
-                        if self._parent is not None:
-                            out.append((self._parent, OutlierReport(
-                                value=message.value, origin=message.origin,
-                                flagged_level=self._level, tick=message.tick)))
+                        out += self._escalate(
+                            message.value, message.origin, message.tick,
+                            count, self._state.model_seq, flag_tick=tick)
         return out
 
 

@@ -39,7 +39,7 @@ from repro.core.divergence import model_js_divergence
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.kernels import EPANECHNIKOV, Kernel
 from repro.core.mdef import MDEFOutlierDetector, MDEFSpec
-from repro.detectors._state import ChildStalenessTracker, StreamModelState
+from repro.detectors._state import ForwardGate, LeaderWindow, StreamModelState
 from repro.detectors.d3 import expected_parent_arrival_window
 from repro.network.messages import Message, ModelUpdate, ValueForward
 from repro.network.node import Detection, DetectionLog, Outgoing
@@ -204,15 +204,7 @@ class MGDDLeafNode:
         self._parent = parent
         self._config = config
         self._log = log
-        self._rng = rng
-        # Forward gates draw from a dedicated substream so the batched
-        # and per-tick ingestion paths consume it in the same order
-        # (spawned, so the node's own generator is not advanced).
-        try:
-            self._forward_rng = rng.spawn(1)[0]
-        except (AttributeError, TypeError):
-            self._forward_rng = np.random.default_rng(
-                int(rng.integers(2**63)))
+        self._gate = ForwardGate(parent, config.sample_fraction, rng)
         # Local sample/sketch: maintained for upward propagation (and for
         # the faulty-sensor application), not for local detection.
         self._state = StreamModelState(
@@ -241,11 +233,7 @@ class MGDDLeafNode:
 
     def on_reading(self, value: np.ndarray, tick: int) -> "list[Outgoing]":
         """MGDD LeafProcess lines 10-14: propagate up, detect globally."""
-        out: "list[Outgoing]" = []
-        changed = self._state.observe(value)
-        if changed and self._parent is not None \
-                and self._forward_rng.random() < self._config.sample_fraction:
-            out.append((self._parent, ValueForward(value=np.array(value, dtype=float))))
+        out = self._gate.forward(self._state.observe(value), value)
         if tick >= self._config.effective_warmup:
             self._detect(value, tick)
         return out
@@ -265,15 +253,8 @@ class MGDDLeafNode:
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
-        n = vals.shape[0]
-        per_tick: "list[list[Outgoing]]" = [[] for _ in range(n)]
-        changed = self._state.observe_many(vals)
-        if self._parent is not None:
-            fraction = self._config.sample_fraction
-            for j, slots in enumerate(changed):
-                if slots and self._forward_rng.random() < fraction:
-                    per_tick[j].append((self._parent, ValueForward(
-                        value=vals[j].copy())))
+        per_tick = self._gate.forward_many(self._state.observe_many(vals),
+                                           vals)
         self._epoch_values = vals
         self._epoch_start = start_tick
         return per_tick
@@ -332,7 +313,7 @@ class MGDDLeafNode:
         return []
 
 
-class MGDDLeaderNode:
+class MGDDLeaderNode(LeaderWindow):
     """ParentProcess of the MGDD algorithm (Figure 4, lines 18-24).
 
     Intermediate leaders relay samples up and updates down; the leader
@@ -348,14 +329,12 @@ class MGDDLeaderNode:
                  rng: np.random.Generator,
                  is_model_source: "bool | None" = None,
                  children_leaf_counts: "Mapping[int, int] | None" = None) -> None:
+        super().__init__(config, n_leaves_region, children_leaf_counts)
         self.node_id = node_id
         self._parent = parent
         self._children = children
-        self._config = config
         self._rng = rng
-        self._n_leaves_region = n_leaves_region
-        self._staleness = ChildStalenessTracker(children_leaf_counts)
-        arrival_window = expected_parent_arrival_window(n_children, _as_d3_like(config))
+        arrival_window = expected_parent_arrival_window(n_children, config)
         self._state = StreamModelState(
             arrival_window, config.sample_size, n_dims,
             epsilon=config.epsilon, model_refresh=config.model_refresh,
@@ -378,31 +357,12 @@ class MGDDLeaderNode:
         """Leaders have no sensor stream of their own in this deployment."""
         return []
 
-    # ------------------------------------------------------------------
-
-    def child_staleness(self, tick: int) -> "dict[int, int]":
-        """Ticks since each direct child was last heard from."""
-        return self._staleness.staleness(tick)
-
-    def _active_leaves(self, tick: int) -> int:
-        """Leaves feeding this region, per the staleness horizon."""
-        horizon = self._config.staleness_horizon
-        if horizon is None:
-            return self._n_leaves_region
-        return max(1, self._staleness.active_leaf_count(tick, horizon))
-
-    def _global_window_size(self, tick: int) -> int:
-        leaves = self._active_leaves(tick)
-        if self._config.parent_window == "fixed":
-            return min((tick + 1) * leaves, self._config.window_size)
-        return min(tick + 1, self._config.window_size) * leaves
-
     def _broadcast_incremental(self, changed: "tuple[int, ...]",
                                value: np.ndarray, tick: int) -> "list[Outgoing]":
         update = ModelUpdate(
             stddev=self._state.sketch.std(), slots=changed,
             value=np.array(value, dtype=float),
-            window_size=self._global_window_size(tick))
+            window_size=self._count_window(tick))
         self.updates_sent += 1
         if obs.ACTIVE:
             obs.emit("detector.model_update", node=self.node_id,
@@ -425,7 +385,7 @@ class MGDDLeaderNode:
         update = ModelUpdate(
             stddev=self._state.sketch.std(),
             full_sample=current.sample.copy(),
-            window_size=self._global_window_size(tick))
+            window_size=self._count_window(tick))
         self.updates_sent += 1
         if obs.ACTIVE:
             obs.emit("detector.model_update", node=self.node_id,
@@ -440,7 +400,7 @@ class MGDDLeaderNode:
             self._staleness.mark(sender, tick)   # upward traffic = alive
             changed = self._state.observe(message.value)
             if self._is_model_source:
-                self._state.count_window_size = self._global_window_size(tick)
+                self._state.count_window_size = self._count_window(tick)
                 if changed:
                     if self._config.update_policy == "incremental":
                         out.extend(self._broadcast_incremental(
@@ -456,17 +416,6 @@ class MGDDLeaderNode:
             # Flood the update toward the leaves.
             out.extend((child, message) for child in self._children)
         return out
-
-
-def _as_d3_like(config: MGDDConfig):
-    """Adapter: reuse the D3 arrival-rate derivation for MGDD leaders."""
-    from repro.core.outliers import DistanceOutlierSpec
-    from repro.detectors.d3 import D3Config
-    return D3Config(
-        spec=DistanceOutlierSpec(radius=1e-3, count_threshold=1.0),
-        window_size=config.window_size, sample_size=config.sample_size,
-        sample_fraction=config.sample_fraction,
-        parent_window=config.parent_window)
 
 
 @dataclass

@@ -248,41 +248,20 @@ class OnlineOutlierDetector:
         if vals.ndim != 2 or vals.shape[1] != n_dims:
             raise ParameterError(
                 f"values must have shape (m, {n_dims}), got {vals.shape}")
+        # Validated whole, so a rejected block changes no state.
+        if not np.isfinite(vals).all():
+            raise ParameterError("values must all be finite")
         m = vals.shape[0]
         decisions: "list[DistanceOutlierDecision | MDEFDecision | None]" = [None] * m
-        i = 0
-        while i < m:
-            if self._seen < self._warmup:
-                # No decisions (and no model checks) before warm-up ends.
-                k = min(self._warmup - self._seen, m - i)
-                self._state.observe_many(vals[i:i + k])
-                self._seen += k
-                i += k
+        for start, stop, due in self._state.check_chunks(
+                m, self._warmup - self._seen):
+            self._state.observe_many(vals[start:stop])
+            self._seen += stop - start
+            if due is None:
                 continue
-            # Observe up to (and including) the next possible model
-            # refresh; every reading before it sees the current cache.
-            until = self._state.arrivals_until_check()
-            k = min(m - i, until)
-            check_hit = k == until
-            self._state.observe_many(vals[i:i + k])
-            self._seen += k
-            cached = self._state.cached_model
-            if not check_hit:
-                if cached is not None:
-                    self._decide_batch(cached, vals[i:i + k], decisions, i)
-            else:
-                model = self.model()
-                if model is cached and model is not None:
-                    # Clean check: the whole chunk shares one model.
-                    self._decide_batch(model, vals[i:i + k], decisions, i)
-                else:
-                    if k > 1 and cached is not None:
-                        self._decide_batch(cached, vals[i:i + k - 1],
-                                           decisions, i)
-                    if model is not None:
-                        self._decide_batch(model, vals[i + k - 1:i + k],
-                                           decisions, i + k - 1)
-            i += k
+            for model, _, a, b in self._state.chunk_models(start, stop, due,
+                                                            self.model):
+                self._decide_batch(model, vals[a:b], decisions, a)
         return decisions
 
     def _decide_batch(self, model: KernelDensityEstimator, points: np.ndarray,

@@ -53,8 +53,8 @@ from repro.detectors._state import (
     check_model_args,
     default_min_arrivals,
     model_bandwidths,
+    model_check_chunks,
     needs_rebuild,
-    next_check_in,
 )
 from repro.detectors.single import (
     DetectorLayout,
@@ -229,8 +229,8 @@ class DetectorEngine:
         :class:`~repro.detectors.single.OnlineOutlierDetector` over its
         column via ``process_many`` (itself bit-identical to the scalar
         loop); a reading maps to ``True`` exactly when its decision
-        exists and flags an outlier.  The schedule below transcribes
-        ``process_many`` once for all lanes.
+        exists and flags an outlier.  All lanes follow the one
+        model-check schedule ``process_many`` follows per stream.
         """
         arr = self._as_batch(batch)
         m = arr.shape[0]
@@ -240,32 +240,21 @@ class DetectorEngine:
             return detections
         scores = np.zeros((m, self._n_streams))
         thresholds = np.zeros((m, self._n_streams))
-        i = 0
-        while i < m:
-            if self._seen < self._warmup:
-                # No decisions (and no model checks) before warm-up ends.
-                k = min(self._warmup - self._seen, m - i)
-                self._observe(arr[i:i + k])
-                i += k
+        for start, stop, due in model_check_chunks(
+                m, self._warmup - self._seen, self._check_args):
+            self._observe(arr[start:stop])
+            if due is None:
                 continue
-            # Observe up to (and including) the next possible model
-            # refresh; every reading before it sees the current models.
-            until = self._arrivals_until_check()
-            k = min(m - i, until)
-            self._observe(arr[i:i + k])
-            if k < until:
-                if self._has_model:
-                    self._decide(arr, i, i + k, detections, scores,
-                                 thresholds)
-            else:
-                if self._has_model and k > 1:
-                    self._decide(arr, i, i + k - 1, detections, scores,
-                                 thresholds)
+            # Rows before a due arrival see the current models; the due
+            # arrival sees the lanes the check rebuilt.
+            last = stop - 1 if due else stop
+            if self._has_model and last > start:
+                self._decide(arr, start, last, detections, scores, thresholds)
+            if due:
                 self._check_models()
                 if self._has_model:
-                    self._decide(arr, i + k - 1, i + k, detections, scores,
+                    self._decide(arr, last, stop, detections, scores,
                                  thresholds)
-            i += k
         rows, lanes = np.nonzero(detections)
         self._last_flags = [
             {"stream": lane, "tick": self._tick + row,
@@ -276,14 +265,14 @@ class DetectorEngine:
         self._tick += m
         return detections
 
-    def _arrivals_until_check(self) -> int:
-        """:meth:`StreamModelState.arrivals_until_check`, shared by all lanes."""
-        return next_check_in(self._has_model, self._seen, self._last_check,
-                             self._min_arrivals, self._model_refresh)
+    def _check_args(self) -> "tuple[bool, int, int, int, int]":
+        """The model-check schedule every lane shares."""
+        return (self._has_model, self._seen, self._last_check,
+                self._min_arrivals, self._model_refresh)
 
     def _observe(self, values: np.ndarray) -> None:
         """Chain sample and variance sketches take ``(k, L, d)`` arrivals."""
-        self._sample.offer_many(values, _backend.block_cells())
+        self._sample.offer_many(values, _backend.BLOCK_CELLS)
         t0 = time.perf_counter() if obs.ACTIVE else 0.0
         for dim, sketch in enumerate(self._sketches):
             sketch.insert_many(values[:, :, dim])
@@ -298,7 +287,7 @@ class DetectorEngine:
         Rebuilds only the lanes whose sample mutated, whose count window
         changed, or whose sketched deviation drifted beyond the
         tolerance; the rest keep their model (and its ``model_seq``).
-        :meth:`_arrivals_until_check` only lets the schedule reach here
+        :func:`model_check_chunks` only lets the schedule reach here
         once ``min_arrivals`` and a full refresh interval have passed.
         """
         self._count_window_size = min(self._seen, self._window_size)
@@ -373,7 +362,7 @@ class DetectorEngine:
         out = np.empty(lanes_first.shape[:2])
         _backend.get_backend().range_lanes(
             self._kernel, lanes_first - radius, lanes_first + radius,
-            self._centres, self._inv_bw, out, _backend.block_cells())
+            self._centres, self._inv_bw, out, _backend.BLOCK_CELLS)
         if _sanitize.ACTIVE:
             _sanitize.check_probabilities(out, label="range_probability")
         counts = np.clip(out, 0.0, 1.0) * self._built_window[:, None]

@@ -236,28 +236,13 @@ class NetworkSimulator:
         """Advance one tick: every live leaf reads once; messages drain."""
         if self._tick >= self._streams.length:
             raise SimulationError("streams exhausted; cannot step further")
+        leaf_ids = self._hierarchy.leaf_ids
         if obs.ACTIVE:
             with obs.span("tick", tick=self._tick):
-                self._step_body()
+                self._epoch_tick({}, leaf_ids, 0)
         else:
-            self._step_body()
+            self._epoch_tick({}, leaf_ids, 0)
         self._tick += 1
-
-    def _step_body(self) -> None:
-        self._begin_tick()
-        queue: "deque[_Envelope]" = deque()
-        self._enqueue_due_retransmits(queue)
-
-        for i, leaf in enumerate(self._hierarchy.leaf_ids):
-            if self._node_down(leaf, self._tick):
-                continue   # a crashed sensor takes no reading
-            reading = self._streams.reading(i, self._tick)
-            if obs.ACTIVE:
-                obs.emit("lineage.ingest", node=leaf, tick=self._tick)
-            for dest, message in self._nodes[leaf].on_reading(reading, self._tick):
-                self._enqueue(queue, leaf, dest, message)
-
-        self._drain(queue)
 
     # -- queue plumbing ------------------------------------------------
 
@@ -314,8 +299,7 @@ class NetworkSimulator:
         if dest not in self._nodes:
             raise SimulationError(f"message addressed to unknown node {dest}")
         dest_down = self._node_down(dest, self._tick)
-        if dest_down and entry is not None \
-                and self._transport.config.park_when_crashed:
+        if dest_down and entry is not None:
             # The link layer knows the next hop is dead (no carrier):
             # buffer at the sender instead of burning radio and retries.
             evicted = self._transport.park(entry)
@@ -506,7 +490,8 @@ class NetworkSimulator:
 
     def _epoch_tick(self, batched: "dict[int, list[list]]",
                     leaf_ids: "tuple[int, ...]", offset: int) -> None:
-        """One tick of an epoch: staged/fallback leaf output, then drain."""
+        """One tick: batched leaves' staged output, per-tick reads of the
+        rest (all of them for :meth:`step`), then the drain."""
         self._begin_tick()
         queue: "deque[_Envelope]" = deque()
         self._enqueue_due_retransmits(queue)

@@ -52,18 +52,16 @@ class TransportConfig:
     ``max_retries`` counts *re*transmissions: a message is attempted at
     most ``1 + max_retries`` times.  The ``k``-th retransmission waits
     ``backoff_base * backoff_factor**(k-1)`` ticks after the failed
-    attempt.  ``park_when_crashed`` buffers messages for crashed
-    destinations instead of burning retries against a dead radio;
-    ``max_parked`` bounds that buffer across all destinations (a real
-    sender has finite memory) -- parking beyond the bound evicts the
-    *oldest* parked message, which is charged as a drop.  ``None``
-    leaves the buffer unbounded.
+    attempt.  Messages for crashed destinations are parked instead of
+    burning retries against a dead radio; ``max_parked`` bounds that
+    buffer across all destinations (a real sender has finite memory) --
+    parking beyond the bound evicts the *oldest* parked message, which
+    is charged as a drop.  ``None`` leaves the buffer unbounded.
     """
 
     max_retries: int = 3
     backoff_base: int = 1
     backoff_factor: int = 2
-    park_when_crashed: bool = True
     max_parked: "int | None" = None
 
     def __post_init__(self) -> None:

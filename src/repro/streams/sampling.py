@@ -222,6 +222,8 @@ class ChainSample:
         if point.shape != (self._n_dims,):
             raise ParameterError(
                 f"value must have {self._n_dims} coordinate(s), got shape {point.shape}")
+        if not np.isfinite(point).all():
+            raise ParameterError(f"value must be finite, got {point}")
         if timestamp is None:
             timestamp = self._timestamp + 1
         if timestamp <= self._timestamp:
@@ -285,6 +287,8 @@ class ChainSample:
         if vals.ndim != 2 or vals.shape[1] != self._n_dims:
             raise ParameterError(
                 f"values must have shape (m, {self._n_dims}), got {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ParameterError("values must all be finite")
         m = vals.shape[0]
         if m == 0:
             return []
@@ -418,7 +422,7 @@ class ChainSample:
         """Current length of each slot's chain (active element included)."""
         return np.array([len(chain.items) for chain in self._chains], dtype=np.int64)
 
-    def memory_words(self, *, words_per_value: int | None = None) -> int:
+    def memory_words(self) -> int:
         """Logical memory footprint in machine words.
 
         Each stored chain entry costs ``d`` words for the value plus one
@@ -427,10 +431,8 @@ class ChainSample:
         accounts (16-bit words on the motes), independent of Python
         object overhead.
         """
-        if words_per_value is None:
-            words_per_value = self._n_dims
         stored = int(self.chain_lengths().sum())
-        return stored * (words_per_value + 1) + self._sample_size
+        return stored * (self._n_dims + 1) + self._sample_size
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.engine.snapshot)
@@ -849,6 +851,8 @@ class ReservoirSample:
         if point.shape != (self._n_dims,):
             raise ParameterError(
                 f"value must have {self._n_dims} coordinate(s), got shape {point.shape}")
+        if not np.isfinite(point).all():
+            raise ParameterError(f"value must be finite, got {point}")
         self._seen += 1
         if self._seen <= self._sample_size:
             self._reservoir[self._seen - 1] = point

@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 from repro._exceptions import ParameterError
 from repro.core import backend as backend_mod
 from repro.core.backend import (
+    BLOCK_CELLS,
     available_backends,
     backend_name,
-    block_cells,
     get_backend,
     resolve_backend,
     set_backend,
@@ -156,7 +156,7 @@ class TestLanesKernel:
         for lane in range(n_lanes):
             want = np.empty(m)
             ops.range_batch(kernel, lows[lane], highs[lane], centers[lane],
-                            inv_bw[lane], want, block_cells())
+                            inv_bw[lane], want, BLOCK_CELLS)
             assert np.array_equal(got[lane], want)
 
 
@@ -297,17 +297,6 @@ class TestBackendSelection:
         with use_backend("numpy"):
             assert backend_name() == "numpy"
         assert get_backend() is before
-
-    def test_block_cells_default_and_env(self, monkeypatch):
-        assert block_cells() == 262_144
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "4096")
-        assert block_cells() == 4096
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-5", "1.5"])
-    def test_block_cells_rejects_bad_values(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", bad)
-        with pytest.raises(ParameterError, match="REPRO_KERNEL_BLOCK"):
-            block_cells()
 
     def test_backend_module_consistency(self):
         assert get_backend().name == backend_name()

@@ -9,6 +9,8 @@ from repro._exceptions import ParameterError
 from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
 from repro.detectors.single import OnlineOutlierDetector
+from repro.engine.snapshot import encode_snapshot
+from repro.streams.sampling import ChainSample
 
 DIST = DistanceOutlierSpec(radius=0.01, count_threshold=5)
 MDEF = MDEFSpec(sampling_radius=0.08, counting_radius=0.01, min_mdef=0.8)
@@ -165,3 +167,35 @@ class TestProcessMany:
         detector = OnlineOutlierDetector(100, 10, DIST, rng=rng)
         with pytest.raises(ParameterError):
             detector.process_many(np.zeros((5, 2)))
+
+
+class TestNonFiniteInput:
+    def test_rejected_reading_changes_no_state(self):
+        """A non-finite reading raises before the chain sample moves, so
+        the sample and the sketch stay in step and the detector carries
+        on exactly like a twin that never saw the bad calls."""
+        stream = np.random.default_rng(3).normal(0.4, 0.02, 100)
+        detector, twin = (OnlineOutlierDetector(
+            50, 10, DIST, rng=np.random.default_rng(8)) for _ in range(2))
+        detector.process_many(stream[:60])
+        twin.process_many(stream[:60])
+        block = stream[60:68].copy()
+        block[5] = np.nan
+        sample = ChainSample(50, 10, rng=np.random.default_rng(8))
+        sample.offer_many(stream[:60])
+        bad_calls = [(detector, lambda: detector.process_many(block)),
+                     (detector, lambda: detector.process(np.nan)),
+                     (detector, lambda: detector.process(np.inf)),
+                     (detector, lambda: detector.process_many(
+                         np.full(3, -np.inf))),
+                     (sample, lambda: sample.offer_many(block)),
+                     (sample, lambda: sample.offer_detailed(np.nan))]
+        for target, bad_call in bad_calls:
+            before = encode_snapshot(target)
+            with pytest.raises(ParameterError):
+                bad_call()
+            assert encode_snapshot(target) == before
+        got = detector.process_many(stream[60:])
+        assert got == twin.process_many(stream[60:])
+        assert encode_snapshot(detector) == encode_snapshot(twin)
+

@@ -161,7 +161,7 @@ class TestMGDDDegradation:
                         sender=0, tick=100)
         assert root.child_staleness(100) == {0: 0, 1: 101}
         assert root._active_leaves(100) == 4
-        assert root._global_window_size(100) == 101 * 4
+        assert root._count_window(100) == 101 * 4
 
     def test_model_update_does_not_mark_sender(self):
         # Downward ModelUpdate traffic comes from the parent, not a

@@ -40,7 +40,6 @@ import math
 from typing import Any
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.core.kernels import Kernel
 
@@ -63,6 +62,7 @@ def _cdf_inplace(kernel: Kernel, name: str, z: np.ndarray,
         np.subtract(z, scratch, out=z)
         np.multiply(z, 0.25, out=z)
     elif name == "gaussian":
+        from scipy.special import ndtr   # lazy, as in GaussianKernel.cdf
         ndtr(z, out=z)
     else:
         z[...] = kernel.cdf(z)

@@ -20,7 +20,6 @@ import math
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "Kernel",
@@ -109,6 +108,9 @@ class GaussianKernel(Kernel):
         return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
     def cdf(self, u: np.ndarray) -> np.ndarray:
+        # Imported on first use: scipy.special is most of the cost of
+        # `import repro`, and only this kernel needs it.
+        from scipy.special import ndtr
         return ndtr(np.asarray(u, dtype=float))
 
     @property

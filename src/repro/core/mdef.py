@@ -41,6 +41,7 @@ import numpy as np
 
 from repro._exceptions import ParameterError
 from repro._validation import as_point
+from repro.core.estimator import KernelDensityEstimator
 from repro.core.model import DensityModel
 
 __all__ = [
@@ -160,23 +161,42 @@ def mdef_statistic(neighbor_count: float, cell_counts: np.ndarray,
     counts = np.asarray(cell_counts, dtype=float)
     if counts.size == 0:
         raise ParameterError("cell_counts must be non-empty")
-    counts = np.clip(counts, 0.0, None)
-    total = float(counts.sum())
-    if total <= _EVIDENCE_FLOOR:
-        return MDEFDecision(False, 0.0, 0.0, float(neighbor_count), 0.0, 0.0)
-    cell_mean = float(np.sum(counts * counts) / total)
-    cell_var = float(np.sum(counts * (counts - cell_mean) ** 2) / total)
-    if estimation_variance_per_unit > 0.0:
-        cell_var = max(0.0, cell_var - estimation_variance_per_unit * cell_mean)
-        floor = _POISSON_FLOOR * np.sqrt(max(cell_mean, 1.0))
-        cell_std = float(max(np.sqrt(cell_var), floor))
-    else:
-        cell_std = float(np.sqrt(max(cell_var, 0.0)))
-    mdef = 1.0 - float(neighbor_count) / cell_mean
-    sigma_mdef = cell_std / cell_mean
-    is_outlier = mdef > k_sigma * sigma_mdef and mdef > min_mdef
-    return MDEFDecision(is_outlier, mdef, sigma_mdef,
-                        float(neighbor_count), cell_mean, cell_std)
+    return _equation9(np.array([float(neighbor_count)]), counts.reshape(1, -1),
+                      k_sigma, min_mdef, estimation_variance_per_unit)[0]
+
+
+def _equation9(neighbors: np.ndarray, cell_counts: np.ndarray, k_sigma: float,
+               min_mdef: float, evpu: float) -> "list[MDEFDecision]":
+    """Equation 9 for rows of equally many cell populations.
+
+    Row ``i`` pairs ``neighbors[i]`` with ``cell_counts[i]``.  Every
+    step is elementwise or a per-row sum, so a row's decision does not
+    depend on the other rows: :func:`mdef_statistic` is the one-row
+    case, and a batch gives each point the decision it gets alone.
+    """
+    counts = np.clip(cell_counts, 0.0, None)
+    total = counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cell_mean = (counts * counts).sum(axis=1) / total
+        cell_var = (counts * (counts - cell_mean[:, None]) ** 2).sum(axis=1) \
+            / total
+        if evpu > 0.0:
+            cell_var = np.maximum(0.0, cell_var - evpu * cell_mean)
+            floor = _POISSON_FLOOR * np.sqrt(np.maximum(cell_mean, 1.0))
+            cell_std = np.maximum(np.sqrt(cell_var), floor)
+        else:
+            cell_std = np.sqrt(np.maximum(cell_var, 0.0))
+        mdef = 1.0 - neighbors / cell_mean
+        sigma_mdef = cell_std / cell_mean
+    is_outlier = (mdef > k_sigma * sigma_mdef) & (mdef > min_mdef)
+    return [MDEFDecision(flag, m, s, n, mean, std)
+            if row_total > _EVIDENCE_FLOOR
+            # No population, no evidence of deviation: not flagged.
+            else MDEFDecision(False, 0.0, 0.0, n, 0.0, 0.0)
+            for row_total, flag, m, s, n, mean, std in zip(
+                total.tolist(), is_outlier.tolist(), mdef.tolist(),
+                sigma_mdef.tolist(), neighbors.tolist(), cell_mean.tolist(),
+                cell_std.tolist())]
 
 
 def cell_grid_centers(spec: MDEFSpec) -> np.ndarray:
@@ -199,17 +219,32 @@ def sampling_cell_centers(p: np.ndarray, spec: MDEFSpec) -> np.ndarray:
     the paper's interval geometry).  Returns shape ``(m, d)``.
     """
     centers_1d = cell_grid_centers(spec)
-    per_dim = []
-    for coord in p:
-        mask = np.abs(centers_1d - coord) <= spec.sampling_radius
-        selected = centers_1d[mask]
-        if selected.size == 0:
-            # Point beyond the grid edge: fall back to the nearest cell.
-            selected = centers_1d[[int(np.argmin(np.abs(centers_1d - coord)))]]
-        per_dim.append(selected)
+    per_dim = [centers_1d[mask[0]] for mask in _cell_masks(
+        np.asarray(p, dtype=float).reshape(1, -1), spec)]
     if len(per_dim) == 1:
         return per_dim[0].reshape(-1, 1)
     return np.array(list(itertools.product(*per_dim)), dtype=float)
+
+
+def _cell_masks(points: np.ndarray, spec: MDEFSpec) -> "list[np.ndarray]":
+    """Per dimension, the grid cells each point's sampling neighbourhood spans.
+
+    Entry ``j`` is an ``(m, n_cells)`` mask over
+    :func:`cell_grid_centers`: row ``i`` selects the cells whose centre
+    lies within the sampling radius of point ``i``'s coordinate ``j``,
+    or the nearest cell when none does.
+    """
+    centers_1d = cell_grid_centers(spec)
+    masks = []
+    for coords in points.T:
+        dist = np.abs(centers_1d[None, :] - coords[:, None])
+        mask = dist <= spec.sampling_radius
+        beyond = np.flatnonzero(~mask.any(axis=1))
+        if beyond.size:
+            # Point beyond the grid edge: fall back to the nearest cell.
+            mask[beyond, np.argmin(dist[beyond], axis=1)] = True
+        masks.append(mask)
+    return masks
 
 
 class MDEFOutlierDetector:
@@ -260,32 +295,78 @@ class MDEFOutlierDetector:
                               estimation_variance_per_unit=self._evpu)
 
     def check_many(self, points: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]") -> "list[MDEFDecision]":
-        """Check a batch of points with one fused range-query batch.
+        """Check a batch of points; decision ``i`` equals ``check(points[i])``.
 
-        Concatenates every point's counting query and all its sampling
-        cells into a single call to the model's vectorised range path,
-        then applies Equation 9 per point.  Decisions match per-point
-        :meth:`check` calls up to range-query round-off.
+        Every count is computed with :meth:`check`'s own arithmetic, so
+        the decisions match per-point calls bit for bit:
+
+        * counting-neighbourhood counts come from one Theorem 2 sorted
+          call (:meth:`~repro.core.estimator.KernelDensityEstimator.range_probability_sorted`)
+          on a 1-d kernel model, and from check's scalar query otherwise;
+        * every distinct sampling cell of the batch goes through one
+          batched ``neighborhood_count`` call, whose rows are independent
+          (true of both density models), so a cell's count does not
+          depend on which other cells share the call;
+        * cell selection and Equation 9 run over the whole batch through
+          the same row-wise rules (``_cell_masks``, ``_equation9``) that
+          :func:`sampling_cell_centers` and :func:`mdef_statistic` apply
+          to one point.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self._model.n_dims) if self._model.n_dims == 1 \
                 else pts.reshape(1, -1)
-        m = pts.shape[0]
-        if m == 0:
+        if pts.ndim != 2 or pts.shape[1] != self._model.n_dims:
+            raise ParameterError(
+                f"points must have shape (m, {self._model.n_dims}), "
+                f"got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ParameterError("points must contain only finite values")
+        if pts.shape[0] == 0:
             return []
+        neighbors = self._neighbor_counts(pts)
+        cells, members = self._sampling_cells(pts)
+        counts = np.asarray(self._model.neighborhood_count(
+            cells, self._spec.counting_radius)).reshape(-1)
+        # Equation 9 over the points with equally many cells at a time.
+        sizes = np.array([rows.size for rows in members])
+        decisions: "dict[int, MDEFDecision]" = {}
+        for size in set(sizes.tolist()):
+            points_of = np.flatnonzero(sizes == size).tolist()
+            decisions.update(zip(points_of, _equation9(
+                neighbors[points_of],
+                counts[np.stack([members[i] for i in points_of])],
+                self._spec.k_sigma, self._spec.min_mdef, self._evpu)))
+        return [decisions[i] for i in range(len(members))]
+
+    def _neighbor_counts(self, pts: np.ndarray) -> np.ndarray:
+        """``n(p, alpha*r)`` per point, each as :meth:`check` computes it."""
         r_count = self._spec.counting_radius
-        centers = [sampling_cell_centers(p, self._spec) for p in pts]
-        queries = np.concatenate([pts] + centers, axis=0)
-        counts = np.asarray(
-            self._model.neighborhood_count(queries, r_count)).reshape(-1)
-        decisions: "list[MDEFDecision]" = []
-        offset = m
-        for i in range(m):
-            n_cells = centers[i].shape[0]
-            decisions.append(mdef_statistic(
-                float(counts[i]), counts[offset:offset + n_cells],
-                self._spec.k_sigma, min_mdef=self._spec.min_mdef,
-                estimation_variance_per_unit=self._evpu))
-            offset += n_cells
-        return decisions
+        model = self._model
+        if isinstance(model, KernelDensityEstimator) and model.n_dims == 1:
+            return model.range_probability_sorted(
+                pts[:, 0] - r_count, pts[:, 0] + r_count) * model.window_size
+        return np.array([float(np.asarray(
+            model.neighborhood_count(p, r_count)).reshape(())) for p in pts])
+
+    def _sampling_cells(self, pts: np.ndarray) -> "tuple[np.ndarray, list[np.ndarray]]":
+        """The distinct sampling cells of a batch, and each point's rows.
+
+        ``members[i]`` indexes the returned centres with point ``i``'s
+        cells, in :func:`sampling_cell_centers` order (the nearest-cell
+        fallback included).
+        """
+        centers_1d = cell_grid_centers(self._spec)
+        masks = _cell_masks(pts, self._spec)
+        if len(masks) == 1:
+            used = masks[0].any(axis=0)
+            rank = np.cumsum(used) - 1
+            return (centers_1d[used].reshape(-1, 1),
+                    [rank[row] for row in masks[0]])
+        grids = [np.array(list(itertools.product(
+            *(np.flatnonzero(mask[i]) for mask in masks))))
+            for i in range(pts.shape[0])]
+        unique, inverse = np.unique(np.concatenate(grids), axis=0,
+                                    return_inverse=True)
+        bounds = np.cumsum([len(grid) for grid in grids])[:-1]
+        return centers_1d[unique], np.split(inverse.reshape(-1), bounds)

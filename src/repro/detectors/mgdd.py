@@ -38,7 +38,7 @@ from repro.core.bandwidth import scott_bandwidths
 from repro.core.divergence import model_js_divergence
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.kernels import EPANECHNIKOV, Kernel
-from repro.core.mdef import MDEFOutlierDetector, MDEFSpec
+from repro.core.mdef import MDEFDecision, MDEFOutlierDetector, MDEFSpec
 from repro.detectors._state import ForwardGate, LeaderWindow, StreamModelState
 from repro.detectors.d3 import expected_parent_arrival_window
 from repro.network.messages import Message, ModelUpdate, ValueForward
@@ -145,6 +145,7 @@ class _GlobalModelCopy:
         self._kernel = kernel
         self._bandwidth_cap = bandwidth_cap
         self._cached: KernelDensityEstimator | None = None
+        self._key: "bytes | None" = None
         self._model_seq = 0
 
     @property
@@ -172,7 +173,21 @@ class _GlobalModelCopy:
         if update.window_size > 0:
             self._window_size = update.window_size
         self._cached = None
+        self._key = None
         self._model_seq += 1
+
+    def content_key(self) -> bytes:
+        """Every byte :meth:`model` is built from, cached until :meth:`apply`.
+
+        Copies with equal keys derive identical models, so the tick
+        scorer lets them share one.
+        """
+        if self._key is None:
+            self._key = b"".join((
+                self._values.tobytes(), self._filled.tobytes(),
+                self._stddev.tobytes(),
+                int(self._window_size).to_bytes(8, "little", signed=True)))
+        return self._key
 
     def model(self) -> "KernelDensityEstimator | None":
         """The mirrored global model, or None while too sparse."""
@@ -194,12 +209,79 @@ class _GlobalModelCopy:
         return int(self._values.size) + int(self._stddev.size)
 
 
+class _TickScorer:
+    """Scores the staged readings of many MGDD leaves once per tick.
+
+    Every leaf judges its reading against its own mirror of the same
+    global model (Section 8), and the mirrors rarely differ within a
+    tick.  At a tick's first :meth:`take`, the scorer collects each
+    attached leaf's staged reading (skipping leaves warming up or paused
+    for staleness), groups the readings by their copy's
+    :meth:`_GlobalModelCopy.content_key`, and scores each group with one
+    :meth:`MDEFOutlierDetector.check_many` call on one model shared by
+    the group -- bit-identical to each leaf's own ``check``.
+
+    This relies on the batch protocol's order (see
+    :class:`~repro.network.node.SimNode`): the simulator calls every
+    batched leaf's ``on_tick_start`` before that tick's drain delivers
+    any ``ModelUpdate``.  As a guard, a leaf whose copy was updated
+    after scoring gets no decision and checks its reading itself.
+    """
+
+    def __init__(self, spec: MDEFSpec) -> None:
+        self._spec = spec
+        self._leaves: "list[MGDDLeafNode]" = []
+        self._tick: "int | None" = None
+        #: Per leaf id: the copy's model_seq when scored, and the decision.
+        self._decisions: "dict[int, tuple[int, MDEFDecision]]" = {}
+        #: The last scored tick's models by content key, reused while
+        #: the copies keep those contents.
+        self._models: "dict[bytes, KernelDensityEstimator | None]" = {}
+
+    def attach(self, leaf: "MGDDLeafNode") -> None:
+        """Score ``leaf`` with this scorer from now on."""
+        self._leaves.append(leaf)
+
+    def take(self, leaf: "MGDDLeafNode", tick: int) -> "MDEFDecision | None":
+        """``leaf``'s decision for ``tick``, or None if it must check alone."""
+        if tick != self._tick:
+            self._score(tick)
+        entry = self._decisions.pop(leaf.node_id, None)
+        if entry is None or entry[0] != leaf.global_copy.model_seq:
+            return None
+        return entry[1]
+
+    def _score(self, tick: int) -> None:
+        groups: "dict[bytes, list[tuple[MGDDLeafNode, np.ndarray]]]" = {}
+        for leaf in self._leaves:
+            value = leaf._staged(tick)
+            if value is not None and not leaf._paused(tick):
+                groups.setdefault(leaf.global_copy.content_key(),
+                                  []).append((leaf, value))
+        models: "dict[bytes, KernelDensityEstimator | None]" = {}
+        self._decisions = {}
+        for key, members in groups.items():
+            model = self._models[key] if key in self._models \
+                else members[0][0].global_copy.model()
+            models[key] = model
+            if model is None:
+                continue
+            decisions = MDEFOutlierDetector(model, self._spec).check_many(
+                np.stack([value for _, value in members]))
+            for (leaf, _), decision in zip(members, decisions):
+                self._decisions[leaf.node_id] = (
+                    leaf.global_copy.model_seq, decision)
+        self._models = models
+        self._tick = tick
+
+
 class MGDDLeafNode:
     """LeafProcess of the MGDD algorithm (Figure 4, right column)."""
 
     def __init__(self, node_id: int, parent: "int | None",
                  config: MGDDConfig, n_dims: int, log: DetectionLog,
-                 rng: np.random.Generator) -> None:
+                 rng: np.random.Generator, *,
+                 scorer: "_TickScorer | None" = None) -> None:
         self.node_id = node_id
         self._parent = parent
         self._config = config
@@ -220,6 +302,10 @@ class MGDDLeafNode:
         self._epoch_start = 0
         self._last_update_tick: "int | None" = None
         self.flagged_ticks: "list[int]" = []
+        # build_mgdd_network passes the network's shared scorer; a leaf
+        # built on its own is scored alone.
+        self._scorer = scorer if scorer is not None else _TickScorer(config.spec)
+        self._scorer.attach(self)
 
     @property
     def state(self) -> StreamModelState:
@@ -245,10 +331,11 @@ class MGDDLeafNode:
         The local sample/sketch are fed through the vectorised batch path
         (bit-identical to per-tick :meth:`on_reading` ingestion) and the
         upward forwards are returned per tick.  Detection itself cannot
-        be batched here: each tick's check runs against the global-model
-        copy *as of that tick*, which mid-epoch ``ModelUpdate`` floods
-        keep changing -- so the readings are staged and checked one tick
-        at a time by :meth:`on_tick_start`.
+        be batched across ticks: each tick's check runs against the
+        global-model copy *as of that tick*, which mid-epoch
+        ``ModelUpdate`` floods keep changing -- so the readings are
+        staged and checked one tick at a time by :meth:`on_tick_start`,
+        across all leaves of the network at once.
         """
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
@@ -260,13 +347,29 @@ class MGDDLeafNode:
         return per_tick
 
     def on_tick_start(self, tick: int) -> "list[Outgoing]":
-        """Run the staged detection for ``tick`` against the current copy."""
+        """Run the staged detection for ``tick`` against the current copy.
+
+        The decision comes from the network's tick scorer, which scored
+        every leaf's staged reading at this tick's first call.
+        """
+        value = self._staged(tick)
+        if value is not None:
+            self._detect(value, tick, self._scorer.take(self, tick))
+        return []
+
+    def _staged(self, tick: int) -> "np.ndarray | None":
+        """The reading staged for ``tick`` if it is due for detection."""
         if self._epoch_values is None or tick < self._config.effective_warmup:
-            return []
+            return None
         idx = tick - self._epoch_start
         if 0 <= idx < self._epoch_values.shape[0]:
-            self._detect(self._epoch_values[idx], tick)
-        return []
+            return self._epoch_values[idx]
+        return None
+
+    def _paused(self, tick: int) -> bool:
+        """Whether the mirrored model is too stale to detect against."""
+        horizon = self._config.staleness_horizon
+        return horizon is not None and self.model_staleness(tick) > horizon
 
     def model_staleness(self, tick: int) -> int:
         """Ticks since the last ModelUpdate (never = ``tick + 1``)."""
@@ -274,32 +377,37 @@ class MGDDLeafNode:
             return tick + 1
         return tick - self._last_update_tick
 
-    def _detect(self, value: np.ndarray, tick: int) -> None:
-        """Check one reading against the global-model copy; log on flag."""
-        horizon = self._config.staleness_horizon
-        if horizon is not None and self.model_staleness(tick) > horizon:
+    def _detect(self, value: np.ndarray, tick: int,
+                decision: "MDEFDecision | None" = None) -> None:
+        """Check one reading against the global-model copy; log on flag.
+
+        ``decision`` is the tick scorer's verdict on ``value``; without
+        one the leaf checks the reading itself.
+        """
+        if self._paused(tick):
             # The mirrored reference is too old to trust: the path to
             # the model source has been down longer than the horizon.
             # Pausing beats flagging against a frozen distribution.
             if obs.ACTIVE:
                 obs.emit("detector.pause", node=self.node_id, tick=tick)
             return
-        model = self._global.model()
-        if model is not None:
-            detector = MDEFOutlierDetector(model, self._config.spec)
-            decision = detector.check(value)
-            if decision.is_outlier:
-                self._log.record(
-                    Detection(
-                        tick=tick, node_id=self.node_id, level=1,
-                        origin=self.node_id,
-                        value=np.array(value, dtype=float)),
-                    prob=float(decision.mdef),
-                    threshold=float(
-                        self._config.spec.k_sigma * decision.sigma_mdef),
-                    model_seq=self._global.model_seq,
-                    staleness=self.model_staleness(tick))
-                self.flagged_ticks.append(tick)
+        if decision is None:
+            model = self._global.model()
+            if model is None:
+                return
+            decision = MDEFOutlierDetector(model, self._config.spec).check(value)
+        if decision.is_outlier:
+            self._log.record(
+                Detection(
+                    tick=tick, node_id=self.node_id, level=1,
+                    origin=self.node_id,
+                    value=np.array(value, dtype=float)),
+                prob=float(decision.mdef),
+                threshold=float(
+                    self._config.spec.k_sigma * decision.sigma_mdef),
+                model_seq=self._global.model_seq,
+                staleness=self.model_staleness(tick))
+            self.flagged_ticks.append(tick)
 
     def on_message(self, message: Message, sender: int,
                    tick: int) -> "list[Outgoing]":
@@ -457,13 +565,15 @@ def build_mgdd_network(hierarchy: Hierarchy, config: MGDDConfig, n_dims: int, *,
             f"model_level must be a leader tier in "
             f"[2, {hierarchy.n_levels}], got {source_level}")
     nodes: "dict[int, MGDDLeafNode | MGDDLeaderNode]" = {}
+    scorer = _TickScorer(config.spec)
     for level_idx, tier in enumerate(hierarchy.levels):
         for node_id in tier:
             child_rng = np.random.default_rng(root_rng.integers(2**63))
             parent = hierarchy.parent_of(node_id)
             if level_idx == 0:
                 nodes[node_id] = MGDDLeafNode(
-                    node_id, parent, config, n_dims, log, child_rng)
+                    node_id, parent, config, n_dims, log, child_rng,
+                    scorer=scorer)
             else:
                 children = hierarchy.children_of(node_id)
                 nodes[node_id] = MGDDLeaderNode(

@@ -39,7 +39,12 @@ class SimNode(Protocol):
         Called once per tick, in leaf order, before that tick's messages
         drain.  Emits work the batch staged for this tick -- detections
         whose logging must stay in tick order, or checks that depend on
-        state that inbound messages update mid-epoch.
+        state that inbound messages update mid-epoch.  The simulator
+        calls every batched leaf's ``on_tick_start`` for a tick before
+        it delivers any message of that tick, so the state the calls
+        read cannot change between the first and the last of them; MGDD
+        leaves rely on this to score the whole tick at the first call
+        (and re-check alone if a message got in between).
 
     Nodes lacking these methods fall back to per-tick ``on_reading``.
     """

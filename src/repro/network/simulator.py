@@ -449,6 +449,11 @@ class NetworkSimulator:
         matches ``n_ticks`` calls to :meth:`step`.  A leaf with a crash
         window inside the epoch is routed through the per-tick fallback
         so its blackout matches the stepped path exactly.
+
+        Within a tick, every batched leaf's ``on_tick_start`` runs before
+        the drain delivers any message of that tick (a ``ModelUpdate``
+        included).  Leaves may therefore treat the calls of one tick as
+        one batch; MGDD scores all its leaves at the first call.
         """
         if n_ticks < 1:
             raise SimulationError(f"n_ticks must be >= 1, got {n_ticks}")

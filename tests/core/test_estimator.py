@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro._exceptions import EmptyModelError, ParameterError
 from repro.core.estimator import KernelDensityEstimator, merge_estimators
-from repro.core.kernels import GAUSSIAN
+from repro.core.kernels import EPANECHNIKOV, GAUSSIAN
 
 
 def make_kde(values, **kwargs):
@@ -176,6 +176,44 @@ class TestSorted1DFastPath:
         dense = float(kde._range_probability_batch(
             np.array([[low]]), np.array([[high]]))[0])
         assert fast == pytest.approx(dense, abs=1e-10)
+
+
+class TestSortedBatchPath:
+    """range_probability_sorted is the scalar sorted path, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sample=st.lists(st.floats(min_value=-0.2, max_value=1.2),
+                           min_size=1, max_size=60),
+           repeats=st.integers(min_value=0, max_value=30),
+           bandwidth=st.sampled_from([1e-4, 0.01, 0.05, 0.4]),
+           gaussian=st.booleans(),
+           lows=st.lists(st.floats(min_value=-0.6, max_value=1.6),
+                         min_size=1, max_size=30),
+           width=st.floats(min_value=0.0, max_value=0.5))
+    def test_each_query_equals_scalar_query(self, sample, repeats, bandwidth,
+                                            gaussian, lows, width):
+        centres = np.array(sample + sample[:1] * repeats)
+        kde = KernelDensityEstimator(
+            centres, bandwidths=[bandwidth],
+            kernel=GAUSSIAN if gaussian else EPANECHNIKOV)
+        low = np.array(lows + sample[:3])
+        high = low + width
+        batched = kde.range_probability_sorted(low, high)
+        scalar = [kde.range_probability(a, b) for a, b in zip(low, high)]
+        assert batched.tobytes() == np.array(scalar).tobytes()
+
+    def test_rejects_bad_batches(self):
+        kde = make_kde([0.1, 0.5, 0.9])
+        with pytest.raises(ParameterError):
+            kde.range_probability_sorted([0.5], [0.4])
+        with pytest.raises(ParameterError):
+            kde.range_probability_sorted([0.1, 0.2], [0.3])
+        with pytest.raises(ParameterError):
+            kde.range_probability_sorted([np.inf], [np.inf])
+        model_2d = KernelDensityEstimator(np.array([[0.1, 0.2], [0.3, 0.4]]),
+                                          bandwidths=[0.1, 0.1])
+        with pytest.raises(ParameterError):
+            model_2d.range_probability_sorted([0.1], [0.2])
 
 
 class TestNeighborhoodCount:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._exceptions import ParameterError
 from repro.core.estimator import KernelDensityEstimator
+from repro.core.kernels import EPANECHNIKOV, GAUSSIAN
 from repro.core.mdef import (
     MDEFOutlierDetector,
     MDEFSpec,
@@ -176,3 +181,76 @@ class TestDetector:
             sampling_radius=0.08, counting_radius=0.01, min_mdef=0.8))
         decision = detector.check([0.46, 0.46])
         assert decision.mdef > 0.8
+
+
+def decision_bits(decision):
+    """All six fields, floats as their IEEE bytes (so -0.0 != 0.0)."""
+    return (type(decision.is_outlier), decision.is_outlier) + tuple(
+        struct.pack("<d", value) for value in (
+            decision.mdef, decision.sigma_mdef, decision.neighbor_count,
+            decision.cell_mean, decision.cell_std))
+
+
+class TestCheckManyEqualsCheck:
+    """check_many is check, bit for bit, on every field of every point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(centres=st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=40),
+           duplicates=st.integers(min_value=0, max_value=20),
+           points=st.lists(st.floats(-0.6, 1.6), min_size=1, max_size=40),
+           on_centres=st.integers(min_value=0, max_value=10),
+           bandwidth=st.sampled_from([1e-3, 0.01, 0.04, 0.3]),
+           kernel=st.sampled_from([EPANECHNIKOV, GAUSSIAN]),
+           counting=st.sampled_from([0.005, 0.01, 0.025]),
+           ratio=st.sampled_from([4.0, 8.0]),
+           min_mdef=st.sampled_from([0.0, 0.8]),
+           correction=st.booleans(),
+           window=st.integers(min_value=1, max_value=5000))
+    def test_random_1d_models(self, centres, duplicates, points, on_centres,
+                              bandwidth, kernel, counting, ratio, min_mdef,
+                              correction, window):
+        sample = np.array(centres + centres[:1] * duplicates)
+        # Points sitting exactly on centres, plus far outside [0, 1]
+        # (the nearest-cell fallback) when the draw reaches there.
+        queries = np.array(points + centres[:on_centres]).reshape(-1, 1)
+        model = KernelDensityEstimator(
+            sample, bandwidths=[bandwidth], kernel=kernel,
+            window_size=max(window, sample.size))
+        detector = MDEFOutlierDetector(
+            model, MDEFSpec(counting * ratio, counting, min_mdef=min_mdef),
+            variance_correction=correction)
+        batched = detector.check_many(queries)
+        assert len(batched) == len(queries)
+        for point, decision in zip(queries, batched):
+            assert decision_bits(decision) == decision_bits(
+                detector.check(point))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 16),
+           n_points=st.integers(min_value=1, max_value=12),
+           min_mdef=st.sampled_from([0.0, 0.8]))
+    def test_random_2d_models(self, seed, n_points, min_mdef):
+        rng = np.random.default_rng(seed)
+        model = KernelDensityEstimator(
+            rng.uniform(0.2, 0.8, size=(25, 2)),
+            bandwidths=rng.uniform(0.01, 0.1, size=2), window_size=500)
+        detector = MDEFOutlierDetector(model, MDEFSpec(
+            sampling_radius=0.1, counting_radius=0.025, min_mdef=min_mdef))
+        queries = rng.uniform(-0.2, 1.2, size=(n_points, 2))
+        for point, decision in zip(queries, detector.check_many(queries)):
+            assert decision_bits(decision) == decision_bits(
+                detector.check(point))
+
+    def test_flat_1d_input_and_empty_batch(self, plateau_window):
+        detector = MDEFOutlierDetector(
+            KernelDensityEstimator.from_window(plateau_window, 50), SPEC)
+        points = np.array([0.1, 0.46, 0.9])
+        assert [decision_bits(d) for d in detector.check_many(points)] \
+            == [decision_bits(detector.check(p)) for p in points]
+        assert detector.check_many(np.empty((0, 1))) == []
+
+    def test_non_finite_points_rejected(self, plateau_window):
+        detector = MDEFOutlierDetector(
+            KernelDensityEstimator.from_window(plateau_window, 50), SPEC)
+        with pytest.raises(ParameterError):
+            detector.check_many([0.4, np.nan])

@@ -167,6 +167,87 @@ class TestNodeUnits:
         assert len(update.slots) == 40   # first arrival fills all slots
 
 
+class TestTickScorer:
+    """Batched leaves are scored together once per tick (on_tick_start)."""
+
+    BESIDE = np.array([[0.46]])   # just beside the plateau model
+
+    @staticmethod
+    def update(sample, stddev=0.08, window_size=400):
+        from repro.network.messages import ModelUpdate
+        return ModelUpdate(stddev=np.array([stddev]),
+                           full_sample=np.asarray(sample).reshape(-1, 1),
+                           window_size=window_size)
+
+    def two_leaves(self):
+        hierarchy = build_hierarchy(2, 2)
+        network = build_mgdd_network(hierarchy, small_config(warmup=0), 1,
+                                     rng=np.random.default_rng(0))
+        return [network.nodes[leaf] for leaf in hierarchy.leaf_ids]
+
+    def models(self):
+        plateau = np.random.default_rng(1).uniform(0.30, 0.42, 40)
+        return plateau, np.linspace(0.30, 0.60, 40)
+
+    def test_update_after_scoring_falls_back_to_own_check(self):
+        from repro.core.mdef import MDEFOutlierDetector
+        plateau, spread = self.models()
+        first, second = self.two_leaves()
+        for leaf in (first, second):
+            leaf.on_message(self.update(plateau), sender=2, tick=0)
+            leaf.on_readings(self.BESIDE, start_tick=5)
+        first.on_tick_start(5)              # scores both leaves
+        assert first.flagged_ticks == [5]
+        second.on_message(self.update(spread), sender=2, tick=5)
+        # The value beside the plateau is no outlier in the even spread.
+        assert not MDEFOutlierDetector(second.global_copy.model(),
+                                       SPEC).check(self.BESIDE[0]).is_outlier
+        # Scored against the plateau copy, but judged against the copy it
+        # holds when its turn comes.
+        second.on_tick_start(5)
+        assert second.flagged_ticks == []
+
+    def test_byte_equal_copies_share_one_model(self):
+        plateau, _ = self.models()
+        leaves = self.two_leaves()
+        for leaf in leaves:
+            leaf.on_message(self.update(plateau), sender=2, tick=0)
+            leaf.on_readings(self.BESIDE, start_tick=5)
+        assert leaves[0].global_copy.content_key() \
+            == leaves[1].global_copy.content_key()
+        for leaf in leaves:
+            leaf.on_tick_start(5)
+        assert [leaf.flagged_ticks for leaf in leaves] == [[5], [5]]
+        # One model was derived, by the group's first copy.
+        assert leaves[1].global_copy._cached is None
+
+    def test_copies_differing_only_in_stddev_are_scored_apart(self):
+        plateau, _ = self.models()
+        wide, narrow = self.two_leaves()
+        # A narrower bandwidth leaves 0.43 outside the plateau's reach.
+        wide.on_message(self.update(plateau, stddev=0.08), sender=2, tick=0)
+        narrow.on_message(self.update(plateau, stddev=0.005), sender=2,
+                          tick=0)
+        for leaf in (wide, narrow):
+            leaf.on_readings(np.array([[0.43]]), start_tick=5)
+        for leaf in (wide, narrow):
+            leaf.on_tick_start(5)
+        assert (wide.flagged_ticks, narrow.flagged_ticks) == ([], [5])
+
+    def test_apply_invalidates_the_key(self):
+        plateau, spread = self.models()
+        leaf = self.two_leaves()[0]
+        leaf.on_message(self.update(plateau), sender=2, tick=0)
+        key = leaf.global_copy.content_key()
+        leaf.on_message(self.update(spread), sender=2, tick=1)
+        assert leaf.global_copy.content_key() != key
+        leaf.on_message(self.update(plateau), sender=2, tick=2)
+        assert leaf.global_copy.content_key() == key
+        leaf.on_message(self.update(plateau, window_size=401), sender=2,
+                        tick=3)
+        assert leaf.global_copy.content_key() != key
+
+
 class TestRegionalModels:
     """config.model_level: Example 1's "outliers at any level of detail"."""
 
